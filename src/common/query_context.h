@@ -37,11 +37,11 @@ struct SpillConfig {
 /// one. One QueryContext lives for exactly one execution of one plan.
 ///
 /// Checking is cooperative and coarse-grained: the instrumented operator
-/// entry points test the context at batch granularity (every NextBatch, and
-/// every kNextCheckInterval Next calls), and the SGB cores test it at
-/// morsel/point-stride granularity inside ParallelFor workers. A check that
-/// fails surfaces as Status::Cancelled / DeadlineExceeded; memory charges
-/// past the budget surface as Status::ResourceExhausted.
+/// entry points test the context at batch granularity (every NextBatch),
+/// and the SGB cores test it at morsel/point-stride granularity inside
+/// ParallelFor workers. A check that fails surfaces as Status::Cancelled /
+/// DeadlineExceeded; memory charges past the budget surface as
+/// Status::ResourceExhausted.
 ///
 /// Thread safety: Cancel() and every Check/Charge/Release may be called
 /// from any thread. The deadline and budget are configured before execution
@@ -49,9 +49,6 @@ struct SpillConfig {
 class QueryContext {
  public:
   using Clock = std::chrono::steady_clock;
-
-  /// How often the per-row Operator::Next path re-checks the context.
-  static constexpr uint64_t kNextCheckInterval = 64;
 
   explicit QueryContext(size_t memory_budget_bytes = 0)
       : memory_("query", &MemoryTracker::EngineGlobal(),

@@ -144,11 +144,6 @@ class AppendScanOp final : public Operator {
     pinned_ = table_->SnapshotRows();
     next_ = 0;
   }
-  bool NextImpl(Row* out) override {
-    if (next_ >= pinned_) return false;
-    *out = table_->row(next_++);
-    return true;
-  }
   bool NextBatchImpl(RowBatch* out) override {
     const size_t end = std::min(pinned_, next_ + out->capacity());
     for (; next_ < end; ++next_) out->Append(table_->row(next_));

@@ -93,7 +93,7 @@ class Database {
   ContinuousQueryManager& continuous() const { return *continuous_; }
 
   /// Parses + plans the SQL (ignoring any EXPLAIN prefix); the returned
-  /// operator can be Open()/Next()ed repeatedly.
+  /// operator can be opened and drained with NextBatch() repeatedly.
   Result<OperatorPtr> Prepare(const std::string& sql) const;
 
   /// Parses, plans and fully materializes the result table on the default

@@ -48,6 +48,20 @@ bool Operator::NextBatch(RowBatch* out) {
   return ok;
 }
 
+void Operator::Close() {
+  for (const Operator* child : children()) {
+    const_cast<Operator*>(child)->Close();
+  }
+  CloseImpl();
+  ReleaseCharge();
+}
+
+bool BufferedRows::Emit(RowBatch* out) {
+  const size_t end = std::min(rows.size(), next + out->capacity());
+  for (; next < end; ++next) out->Append(std::move(rows[next]));
+  return !out->empty();
+}
+
 void Operator::SetQueryContext(QueryContext* ctx) {
   // Settle any outstanding charge against the context it was made on;
   // otherwise a later Open() would release it against the new one.
@@ -153,6 +167,66 @@ uint64_t PopRowSeq(Row* row) {
   return seq;
 }
 
+/// Evaluates one key expression per column against `row`. Sorts and
+/// groupings evaluate each row's key once and compare the results.
+Row EvalKey(const std::vector<ExprPtr>& exprs, const Row& row) {
+  Row key;
+  key.reserve(exprs.size());
+  for (const ExprPtr& e : exprs) key.push_back(e->Evaluate(row));
+  return key;
+}
+
+/// Lexicographic order of two evaluated keys; `descending[i]` reverses
+/// column i (an empty vector sorts every column ascending).
+bool KeyLess(const Row& a, const Row& b, const std::vector<bool>& descending) {
+  for (size_t i = 0; i < a.size(); ++i) {
+    const int c = Value::Compare(a[i], b[i]);
+    if (c != 0) return !descending.empty() && descending[i] ? c > 0 : c < 0;
+  }
+  return false;
+}
+
+/// Input positions in stable key order: the sort behind both SortOp and
+/// SortAggregateOp. Sorting indices moves no rows and never re-evaluates a
+/// key expression.
+std::vector<size_t> StableKeyOrder(const std::vector<Row>& keys,
+                                   const std::vector<bool>& descending) {
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return KeyLess(keys[a], keys[b], descending);
+  });
+  return order;
+}
+
+/// A join output row: `left` followed by `right`.
+Row Concat(const Row& left, const Row& right) {
+  Row joined;
+  joined.reserve(left.size() + right.size());
+  joined.insert(joined.end(), left.begin(), left.end());
+  joined.insert(joined.end(), right.begin(), right.end());
+  return joined;
+}
+
+/// The one row a global aggregate (no GROUP BY keys) emits for empty input.
+Row GlobalDefaultRow(const std::vector<AggregateSpec>& aggregates) {
+  Row out;
+  for (const AggregateSpec& a : aggregates) {
+    out.push_back(CreateAggregateState(a)->Finalize());
+  }
+  return out;
+}
+
+/// Drains `child` batch by batch, handing each row to `fn` (which may move
+/// it).
+template <typename Fn>
+void DrainChild(Operator& child, Fn&& fn) {
+  RowBatch batch;
+  while (child.NextBatch(&batch)) {
+    for (Row& row : batch.rows()) fn(row);
+  }
+}
+
 /// Ballpark per-entry overhead of an unordered_map node (bucket slot,
 /// next pointer, hash) used by the incremental build-side estimates.
 constexpr size_t kMapNodeBytes = 64;
@@ -176,11 +250,6 @@ class TableScanOp final : public Operator {
            (sizeof(Row) + schema_.size() * sizeof(Value));
   }
   void OpenImpl() override { next_ = 0; }
-  bool NextImpl(Row* out) override {
-    if (next_ >= table_->NumRows()) return false;
-    *out = table_->rows()[next_++];
-    return true;
-  }
   bool NextBatchImpl(RowBatch* out) override {
     const size_t end =
         std::min(table_->NumRows(), next_ + out->capacity());
@@ -207,12 +276,6 @@ class FilterOp final : public Operator {
     return {child_.get()};
   }
   void OpenImpl() override { child_->Open(); }
-  bool NextImpl(Row* out) override {
-    while (child_->Next(out)) {
-      if (predicate_->Evaluate(*out).ToBool()) return true;
-    }
-    return false;
-  }
   bool NextBatchImpl(RowBatch* out) override {
     // Pull whole child batches and keep the passing rows; an all-filtered
     // batch just pulls the next one, so emitted batches are never empty
@@ -253,14 +316,6 @@ class ProjectOp final : public Operator {
     return {child_.get()};
   }
   void OpenImpl() override { child_->Open(); }
-  bool NextImpl(Row* out) override {
-    Row input;
-    if (!child_->Next(&input)) return false;
-    out->clear();
-    out->reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) out->push_back(e->Evaluate(input));
-    return true;
-  }
   bool NextBatchImpl(RowBatch* out) override {
     RowBatch scratch(out->capacity());
     if (!child_->NextBatch(&scratch)) return false;
@@ -305,17 +360,23 @@ class HashAggregateOp final : public Operator {
     return {child_.get()};
   }
 
+  /// With spilling on, this is grace aggregation (docs/ROBUSTNESS.md
+  /// "Spill-to-disk"): aggregate in memory while teeing the raw input to a
+  /// spill log; on a budget breach, drop the hash table, partition the log
+  /// plus the remaining input by group-key hash, and re-aggregate each
+  /// partition — recursively repartitioning partitions that still do not
+  /// fit. Spilled rows carry a trailing arrival-sequence column so the
+  /// finalized results can be restored to first-appearance order, keeping
+  /// spilled output bit-identical to the in-memory run. AggregateState is
+  /// deliberately opaque (Add/Finalize only), which is why raw rows spill
+  /// rather than partial states.
   void OpenImpl() override {
     child_->Open();
-    results_.clear();
+    results_.Release();
     result_seqs_.clear();
-    next_ = 0;
     results_bytes_ = 0;
-    if (SpillEnabled()) {
-      OpenWithSpill();
-      return;
-    }
-
+    QueryContext* ctx = query_context();
+    const bool spill = SpillEnabled();
     GroupMap groups;
     std::vector<Row> key_order;  // deterministic output order
     if (est_groups_ > 0) {
@@ -323,59 +384,79 @@ class HashAggregateOp final : public Operator {
       // rehash-growing, and charge the predicted footprint up front so a
       // budget breach surfaces before the build, not mid-growth.
       groups.reserve(est_groups_);
-      key_order.reserve(est_groups_);
-      ChargeMemory(est_groups_ * PredictedGroupBytes());
-    }
-
-    Row row;
-    while (child_->Next(&row)) {
-      Row key;
-      key.reserve(group_exprs_.size());
-      for (const ExprPtr& e : group_exprs_) key.push_back(e->Evaluate(row));
-      auto [it, inserted] = groups.try_emplace(key);
-      if (inserted) {
-        key_order.push_back(key);
-        it->second.states.reserve(aggregates_.size());
-        for (const AggregateSpec& a : aggregates_) {
-          it->second.states.push_back(CreateAggregateState(a));
-        }
+      if (!spill) {
+        key_order.reserve(est_groups_);
+        ChargeMemory(est_groups_ * PredictedGroupBytes());
       }
-      for (auto& state : it->second.states) state->Add(row);
     }
-
-    // Global aggregation emits one row even when the input was empty.
-    if (group_exprs_.empty() && groups.empty()) {
-      EmitGlobalDefaultRow();
-      PublishGroupCount();
+    size_t mem_estimate = 0;
+    uint64_t next_seq = 0;
+    std::unique_ptr<SpillFile> tee;       // replay log; read only on breach
+    std::unique_ptr<SpillPartitionSet> overflow;
+    DrainChild(*child_, [&](Row& row) {
+      Row key = EvalKey(group_exprs_, row);
+      const uint64_t row_seq = next_seq++;
+      if (overflow != nullptr) {
+        row.push_back(Value::Int(static_cast<int64_t>(row_seq)));
+        ThrowIfError(overflow->Add(RowHash{}(key), row));
+        return;
+      }
+      if (spill) {
+        if (tee == nullptr) {
+          tee = CreateSpillFileOrThrow(ctx->spill().directory);
+        }
+        ThrowIfError(tee->Append(row));
+      }
+      mem_estimate += AddToGroups(&groups, &key_order, std::move(key), row);
+      if (!spill || TryChargeMemory(mem_estimate)) return;
+      // Budget breached: fall back to grace aggregation. The tee log
+      // replays the input consumed so far, in arrival order.
+      groups.clear();
+      key_order.clear();
+      ChargeMemory(0);
+      ThrowIfError(tee->FinishWrites());
+      RecordSpillEvent(ctx, tee->bytes(), &mutable_stats());
+      overflow = std::make_unique<SpillPartitionSet>(
+          ctx->spill().fanout, /*level=*/0, ctx->spill().directory);
+      Row replay;
+      uint64_t replay_seq = 0;
+      while (NextOrThrow(tee.get(), &replay)) {
+        const size_t hash = RowHash{}(EvalKey(group_exprs_, replay));
+        replay.push_back(Value::Int(static_cast<int64_t>(replay_seq++)));
+        ThrowIfError(overflow->Add(hash, replay));
+      }
+      tee.reset();
+    });
+    tee.reset();
+    if (overflow != nullptr) {
+      AggregateSpilledPartitions(std::move(overflow));
       return;
     }
-
-    FinalizeGroups(&groups, key_order);
+    // Global aggregation emits one row even when the input was empty.
+    if (group_exprs_.empty() && groups.empty()) {
+      results_.rows.push_back(GlobalDefaultRow(aggregates_));
+    } else {
+      FinalizeGroups(&groups, key_order);
+    }
     PublishGroupCount();
-    ChargeMemory(ApproxRowVectorBytes(key_order) +
-                 ApproxRowVectorBytes(results_) +
-                 key_order.size() * (sizeof(std::unique_ptr<AggregateState>) *
-                                     aggregates_.size()));
+    size_t bytes = ApproxRowVectorBytes(results_.rows);
+    if (!spill) {  // spilling charged the hash table row by row
+      bytes += ApproxRowVectorBytes(key_order) +
+               key_order.size() * sizeof(std::unique_ptr<AggregateState>) *
+                   aggregates_.size();
+    }
+    ChargeMemory(bytes);
   }
 
-  bool NextImpl(Row* out) override {
-    if (next_ >= results_.size()) return false;
-    *out = std::move(results_[next_++]);
-    return true;
-  }
+  bool NextBatchImpl(RowBatch* out) override { return results_.Emit(out); }
+
+  void CloseImpl() override { results_.Release(); }
 
  private:
   struct GroupEntry {
     std::vector<std::unique_ptr<AggregateState>> states;
   };
   using GroupMap = std::unordered_map<Row, GroupEntry, RowHash, RowEq>;
-
-  Row EvalKey(const Row& row) const {
-    Row key;
-    key.reserve(group_exprs_.size());
-    for (const ExprPtr& e : group_exprs_) key.push_back(e->Evaluate(row));
-    return key;
-  }
 
   /// Estimated bytes one group adds to the hash table — the per-insert
   /// delta of AddToGroups with the key at its natural capacity. Used to
@@ -389,7 +470,7 @@ class HashAggregateOp final : public Operator {
   /// Publishes actual groups beside the plan-time estimate so estimate
   /// drift shows up in EXPLAIN ANALYZE and system.operator_stats.
   void PublishGroupCount() {
-    mutable_stats().extra["groups"] = results_.size();
+    mutable_stats().extra["groups"] = results_.rows.size();
     if (est_groups_ > 0) mutable_stats().extra["est_groups"] = est_groups_;
   }
 
@@ -414,16 +495,8 @@ class HashAggregateOp final : public Operator {
     return delta;
   }
 
-  void EmitGlobalDefaultRow() {
-    Row out;
-    for (const AggregateSpec& a : aggregates_) {
-      out.push_back(CreateAggregateState(a)->Finalize());
-    }
-    results_.push_back(std::move(out));
-  }
-
   void FinalizeGroups(GroupMap* groups, const std::vector<Row>& key_order) {
-    results_.reserve(results_.size() + key_order.size());
+    results_.rows.reserve(results_.rows.size() + key_order.size());
     for (const Row& key : key_order) {
       Row out;
       out.reserve(key.size() + aggregates_.size());
@@ -431,83 +504,27 @@ class HashAggregateOp final : public Operator {
       for (const auto& state : (*groups)[key].states) {
         out.push_back(state->Finalize());
       }
-      results_.push_back(std::move(out));
+      results_.rows.push_back(std::move(out));
     }
   }
 
-  /// Grace aggregation (docs/ROBUSTNESS.md "Spill-to-disk"): aggregate in
-  /// memory while teeing the raw input to a spill log; on a budget breach,
-  /// drop the hash table, partition the log plus the remaining input by
-  /// group-key hash, and re-aggregate each partition — recursively
-  /// repartitioning partitions that still do not fit. Spilled rows carry a
-  /// trailing arrival-sequence column so the finalized results can be
-  /// restored to first-appearance order, keeping spilled output
-  /// bit-identical to the in-memory run. AggregateState is deliberately
-  /// opaque (Add/Finalize only), which is why raw rows spill rather than
-  /// partial states.
-  void OpenWithSpill() {
-    QueryContext* ctx = query_context();
-    const SpillConfig& cfg = ctx->spill();
-    GroupMap groups;
-    std::vector<Row> key_order;
-    if (est_groups_ > 0) groups.reserve(est_groups_);
-    size_t mem_estimate = 0;
-    uint64_t next_seq = 0;
-    std::unique_ptr<SpillFile> tee;       // replay log; read only on breach
-    std::unique_ptr<SpillPartitionSet> overflow;
-    Row row;
-    while (child_->Next(&row)) {
-      Row key = EvalKey(row);
-      const uint64_t row_seq = next_seq++;
-      if (overflow != nullptr) {
-        row.push_back(Value::Int(static_cast<int64_t>(row_seq)));
-        ThrowIfError(overflow->Add(RowHash{}(key), row));
-        continue;
-      }
-      if (tee == nullptr) tee = CreateSpillFileOrThrow(cfg.directory);
-      ThrowIfError(tee->Append(row));
-      mem_estimate += AddToGroups(&groups, &key_order, std::move(key), row);
-      if (TryChargeMemory(mem_estimate)) continue;
-      // Budget breached: fall back to grace aggregation. The tee log
-      // replays the input consumed so far, in arrival order.
-      groups.clear();
-      key_order.clear();
-      ChargeMemory(0);
-      ThrowIfError(tee->FinishWrites());
-      RecordSpillEvent(ctx, tee->bytes(), &mutable_stats());
-      overflow = std::make_unique<SpillPartitionSet>(cfg.fanout, /*level=*/0,
-                                                     cfg.directory);
-      Row replay;
-      uint64_t replay_seq = 0;
-      while (NextOrThrow(tee.get(), &replay)) {
-        const size_t hash = RowHash{}(EvalKey(replay));
-        replay.push_back(Value::Int(static_cast<int64_t>(replay_seq++)));
-        ThrowIfError(overflow->Add(hash, replay));
-      }
-      tee.reset();
-    }
-    if (overflow == nullptr) {  // everything fit after all
-      tee.reset();
-      if (group_exprs_.empty() && groups.empty()) {
-        EmitGlobalDefaultRow();
-      } else {
-        FinalizeGroups(&groups, key_order);
-      }
-      PublishGroupCount();
-      ChargeMemory(ApproxRowVectorBytes(results_));
-      return;
-    }
+  /// Re-aggregates the spilled input partition by partition and restores
+  /// first-appearance order.
+  void AggregateSpilledPartitions(
+      std::unique_ptr<SpillPartitionSet> overflow) {
     ThrowIfError(overflow->FinishWrites());
-    RecordSpillEvent(ctx, overflow->bytes(), &mutable_stats());
+    RecordSpillEvent(query_context(), overflow->bytes(), &mutable_stats());
     for (size_t i = 0; i < overflow->fanout(); ++i) {
       std::unique_ptr<SpillFile> part = overflow->TakePartition(i);
       if (part != nullptr) ProcessPartition(std::move(part), /*level=*/1);
     }
     overflow.reset();
-    RestoreSpilledOrder(&results_, &result_seqs_);
-    if (group_exprs_.empty() && results_.empty()) EmitGlobalDefaultRow();
+    RestoreSpilledOrder(&results_.rows, &result_seqs_);
+    if (group_exprs_.empty() && results_.rows.empty()) {
+      results_.rows.push_back(GlobalDefaultRow(aggregates_));
+    }
     PublishGroupCount();
-    results_bytes_ = ApproxRowVectorBytes(results_);
+    results_bytes_ = ApproxRowVectorBytes(results_.rows);
     ChargeMemory(results_bytes_);
   }
 
@@ -531,7 +548,8 @@ class HashAggregateOp final : public Operator {
     while (NextOrThrow(file.get(), &row)) {
       const uint64_t seq = PopRowSeq(&row);
       const size_t groups_before = key_order.size();
-      mem_estimate += AddToGroups(&groups, &key_order, EvalKey(row), row);
+      mem_estimate +=
+          AddToGroups(&groups, &key_order, EvalKey(group_exprs_, row), row);
       if (key_order.size() > groups_before) seq_order.push_back(seq);
       if (!TryChargeMemory(results_bytes_ + mem_estimate)) {
         fits = false;
@@ -543,7 +561,7 @@ class HashAggregateOp final : public Operator {
       result_seqs_.insert(result_seqs_.end(), seq_order.begin(),
                           seq_order.end());
       groups.clear();
-      results_bytes_ = ApproxRowVectorBytes(results_);
+      results_bytes_ = ApproxRowVectorBytes(results_.rows);
       ChargeMemory(results_bytes_);
       return;
     }
@@ -560,7 +578,7 @@ class HashAggregateOp final : public Operator {
     auto children = std::make_unique<SpillPartitionSet>(cfg.fanout, level,
                                                         cfg.directory);
     while (NextOrThrow(file.get(), &row)) {
-      ThrowIfError(children->Add(RowHash{}(EvalKey(row)), row));
+      ThrowIfError(children->Add(RowHash{}(EvalKey(group_exprs_, row)), row));
     }
     ThrowIfError(children->FinishWrites());
     RecordSpillEvent(ctx, children->bytes(), &mutable_stats());
@@ -585,11 +603,10 @@ class HashAggregateOp final : public Operator {
   std::vector<AggregateSpec> aggregates_;
   Schema schema_;
   size_t est_groups_ = 0;  ///< stats-predicted group count (0 = unknown)
-  std::vector<Row> results_;
+  BufferedRows results_;
   /// Spilled mode only: in-memory output rank of each results_ row,
   /// consumed by RestoreSpilledOrder.
   std::vector<uint64_t> result_seqs_;
-  size_t next_ = 0;
   size_t results_bytes_ = 0;
 };
 
@@ -626,43 +643,23 @@ class SortAggregateOp final : public Operator {
 
   void OpenImpl() override {
     child_->Open();
-    results_.clear();
-    next_ = 0;
+    results_.Release();
 
     std::vector<Row> input;
     std::vector<Row> keys;
-    Row row;
-    while (child_->Next(&row)) {
-      Row key;
-      key.reserve(group_exprs_.size());
-      for (const ExprPtr& e : group_exprs_) key.push_back(e->Evaluate(row));
-      keys.push_back(std::move(key));
+    DrainChild(*child_, [&](Row& row) {
+      keys.push_back(EvalKey(group_exprs_, row));
       input.push_back(std::move(row));
-    }
+    });
     ChargeMemory(ApproxRowVectorBytes(input) + ApproxRowVectorBytes(keys));
 
     if (group_exprs_.empty() && input.empty()) {
-      Row out;
-      for (const AggregateSpec& a : aggregates_) {
-        out.push_back(CreateAggregateState(a)->Finalize());
-      }
-      results_.push_back(std::move(out));
-      mutable_stats().extra["groups"] = results_.size();
+      results_.rows.push_back(GlobalDefaultRow(aggregates_));
+      mutable_stats().extra["groups"] = results_.rows.size();
       return;
     }
 
-    std::vector<size_t> order(input.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&keys](size_t a, size_t b) {
-                       const Row& ka = keys[a];
-                       const Row& kb = keys[b];
-                       for (size_t i = 0; i < ka.size(); ++i) {
-                         const int c = Value::Compare(ka[i], kb[i]);
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
+    const std::vector<size_t> order = StableKeyOrder(keys, {});
 
     // Aggregate each equal-key run; a stable sort makes the run's first
     // element the group's earliest arrival, so sorting finished groups by
@@ -696,26 +693,23 @@ class SortAggregateOp final : public Operator {
     }
     std::sort(finished.begin(), finished.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    results_.reserve(finished.size());
-    for (auto& [first, out] : finished) results_.push_back(std::move(out));
-    mutable_stats().extra["groups"] = results_.size();
+    results_.rows.reserve(finished.size());
+    for (auto& [first, out] : finished) results_.rows.push_back(std::move(out));
+    mutable_stats().extra["groups"] = results_.rows.size();
     ChargeMemory(ApproxRowVectorBytes(input) + ApproxRowVectorBytes(keys) +
-                 ApproxRowVectorBytes(results_));
+                 ApproxRowVectorBytes(results_.rows));
   }
 
-  bool NextImpl(Row* out) override {
-    if (next_ >= results_.size()) return false;
-    *out = std::move(results_[next_++]);
-    return true;
-  }
+  bool NextBatchImpl(RowBatch* out) override { return results_.Emit(out); }
+
+  void CloseImpl() override { results_.Release(); }
 
  private:
   OperatorPtr child_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggregateSpec> aggregates_;
   Schema schema_;
-  std::vector<Row> results_;
-  size_t next_ = 0;
+  BufferedRows results_;
 };
 
 class HashJoinOp final : public Operator {
@@ -741,60 +735,104 @@ class HashJoinOp final : public Operator {
     return {left_.get(), right_.get()};
   }
 
+  /// With spilling on, this is a grace hash join: build in memory while
+  /// teeing build rows to a spill log; on a budget breach, partition both
+  /// inputs by key hash (JoinSpilledPartitions).
   void OpenImpl() override {
     // Build side: right input.
     right_->Open();
-    build_.clear();
+    CloseImpl();
     spilled_mode_ = false;
-    results_.clear();
     result_seqs_.clear();
-    next_ = 0;
     results_bytes_ = 0;
-    if (SpillEnabled()) {
-      OpenWithSpill();
+    QueryContext* ctx = query_context();
+    const bool spill = SpillEnabled();
+    size_t mem_estimate = 0;
+    std::unique_ptr<SpillFile> tee;
+    std::unique_ptr<SpillPartitionSet> right_parts;
+    Row key;
+    DrainChild(*right_, [&](Row& row) {
+      if (!EvalKeyInto(right_keys_, row, &key)) return;  // NULLs never join
+      if (right_parts != nullptr) {
+        ThrowIfError(right_parts->Add(RowHash{}(key), row));
+        return;
+      }
+      if (spill) {
+        if (tee == nullptr) {
+          tee = CreateSpillFileOrThrow(ctx->spill().directory);
+        }
+        ThrowIfError(tee->Append(row));
+        mem_estimate += 2 * sizeof(Row) +
+                        (key.capacity() + row.capacity()) * sizeof(Value) +
+                        kMapNodeBytes;
+      }
+      build_[key].push_back(std::move(row));
+      if (!spill || TryChargeMemory(mem_estimate)) return;
+      // Budget breached: drop the build table; the tee log replays the
+      // build rows consumed so far.
+      build_.clear();
+      ChargeMemory(0);
+      ThrowIfError(tee->FinishWrites());
+      RecordSpillEvent(ctx, tee->bytes(), &mutable_stats());
+      right_parts = std::make_unique<SpillPartitionSet>(
+          ctx->spill().fanout, /*level=*/0, ctx->spill().directory);
+      Row replay;
+      while (NextOrThrow(tee.get(), &replay)) {
+        EvalKeyInto(right_keys_, replay, &key);  // teed rows are non-NULL
+        ThrowIfError(right_parts->Add(RowHash{}(key), replay));
+      }
+      tee.reset();
+    });
+    tee.reset();
+    if (right_parts != nullptr) {
+      left_->Open();
+      JoinSpilledPartitions(std::move(right_parts));
       return;
-    }
-    Row row;
-    while (right_->Next(&row)) {
-      Row key;
-      if (!EvalKeyInto(right_keys_, row, &key)) continue;  // NULLs never join
-      build_[std::move(key)].push_back(row);
     }
     size_t build_rows = 0;
     size_t build_bytes = 0;
-    for (const auto& [key, rows] : build_) {
+    for (const auto& [k, rows] : build_) {
       build_rows += rows.size();
-      build_bytes += key.capacity() * sizeof(Value) + ApproxRowVectorBytes(rows);
+      build_bytes += k.capacity() * sizeof(Value) + ApproxRowVectorBytes(rows);
     }
     mutable_stats().extra["build_rows"] = build_rows;
-    ChargeMemory(build_bytes);
+    if (!spill) ChargeMemory(build_bytes);  // spilling charged it row by row
     left_->Open();
-    matches_ = nullptr;
-    match_index_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    if (spilled_mode_) {
-      if (next_ >= results_.size()) return false;
-      *out = std::move(results_[next_++]);
-      return true;
-    }
-    while (true) {
+  /// Probes one input batch at a time; the probe position and the current
+  /// row's unemitted matches carry over between calls, so a high fan-out
+  /// key never materializes its output.
+  bool NextBatchImpl(RowBatch* out) override {
+    if (spilled_mode_) return results_.Emit(out);
+    while (!out->Full()) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
-        *out = probe_row_;
-        const Row& right_row = (*matches_)[match_index_++];
-        out->insert(out->end(), right_row.begin(), right_row.end());
-        return true;
+        out->Append(Concat(probe_.rows()[probe_pos_ - 1],
+                           (*matches_)[match_index_++]));
+        continue;
       }
       matches_ = nullptr;
-      if (!left_->Next(&probe_row_)) return false;
-      Row key;
-      if (!EvalKeyInto(left_keys_, probe_row_, &key)) continue;
-      const auto it = build_.find(key);
+      if (probe_pos_ >= probe_.size()) {
+        if (!left_->NextBatch(&probe_)) break;
+        probe_pos_ = 0;
+      }
+      if (!EvalKeyInto(left_keys_, probe_.rows()[probe_pos_++], &probe_key_)) {
+        continue;
+      }
+      const auto it = build_.find(probe_key_);
       if (it == build_.end()) continue;
       matches_ = &it->second;
       match_index_ = 0;
     }
+    return !out->empty();
+  }
+
+  void CloseImpl() override {
+    BuildMap().swap(build_);
+    probe_.Clear();
+    probe_pos_ = 0;
+    matches_ = nullptr;
+    results_.Release();
   }
 
  private:
@@ -813,72 +851,27 @@ class HashJoinOp final : public Operator {
     return true;
   }
 
-  /// Grace hash join: build in memory while teeing build rows to a spill
-  /// log; on a budget breach, partition both inputs by key hash with the
-  /// same routing so each partition pair joins independently, recursively
-  /// repartitioning build partitions that still do not fit. Probe rows
-  /// spill with a trailing arrival-sequence column; the materialized
-  /// output is restored to probe order before streaming, so spilled output
-  /// is bit-identical to the in-memory run.
-  void OpenWithSpill() {
+  /// Grace hash join once the build side has spilled: partition the probe
+  /// side with the same routing so each partition pair joins independently,
+  /// recursively repartitioning build partitions that still do not fit.
+  /// Probe rows spill with a trailing arrival-sequence column; the
+  /// materialized output is restored to probe order before streaming, so
+  /// spilled output is bit-identical to the in-memory run.
+  void JoinSpilledPartitions(std::unique_ptr<SpillPartitionSet> right_parts) {
     QueryContext* ctx = query_context();
     const SpillConfig& cfg = ctx->spill();
-    size_t mem_estimate = 0;
-    std::unique_ptr<SpillFile> tee;
-    std::unique_ptr<SpillPartitionSet> right_parts;
-    Row row;
-    Row key;
-    while (right_->Next(&row)) {
-      if (!EvalKeyInto(right_keys_, row, &key)) continue;
-      const size_t hash = RowHash{}(key);
-      if (right_parts != nullptr) {
-        ThrowIfError(right_parts->Add(hash, row));
-        continue;
-      }
-      if (tee == nullptr) tee = CreateSpillFileOrThrow(cfg.directory);
-      ThrowIfError(tee->Append(row));
-      mem_estimate += 2 * sizeof(Row) +
-                      (key.capacity() + row.capacity()) * sizeof(Value) +
-                      kMapNodeBytes;
-      build_[key].push_back(row);
-      if (TryChargeMemory(mem_estimate)) continue;
-      // Budget breached: drop the build table; the tee log replays the
-      // build rows consumed so far.
-      build_.clear();
-      ChargeMemory(0);
-      ThrowIfError(tee->FinishWrites());
-      RecordSpillEvent(ctx, tee->bytes(), &mutable_stats());
-      right_parts = std::make_unique<SpillPartitionSet>(
-          cfg.fanout, /*level=*/0, cfg.directory);
-      Row replay;
-      while (NextOrThrow(tee.get(), &replay)) {
-        EvalKeyInto(right_keys_, replay, &key);  // teed rows are non-NULL
-        ThrowIfError(right_parts->Add(RowHash{}(key), replay));
-      }
-      tee.reset();
-    }
-    if (right_parts == nullptr) {  // build side fit: stream-probe as usual
-      tee.reset();
-      size_t build_rows = 0;
-      for (const auto& [k, rows] : build_) build_rows += rows.size();
-      mutable_stats().extra["build_rows"] = build_rows;
-      left_->Open();
-      matches_ = nullptr;
-      match_index_ = 0;
-      return;
-    }
     ThrowIfError(right_parts->FinishWrites());
     // Partition the probe side with the same level-0 routing, so rows that
     // can join always meet in the same partition pair.
-    left_->Open();
     auto left_parts = std::make_unique<SpillPartitionSet>(
         cfg.fanout, /*level=*/0, cfg.directory);
     uint64_t probe_seq = 0;
-    while (left_->Next(&row)) {
-      if (!EvalKeyInto(left_keys_, row, &key)) continue;
+    Row key;
+    DrainChild(*left_, [&](Row& row) {
+      if (!EvalKeyInto(left_keys_, row, &key)) return;
       row.push_back(Value::Int(static_cast<int64_t>(probe_seq++)));
       ThrowIfError(left_parts->Add(RowHash{}(key), row));
-    }
+    });
     ThrowIfError(left_parts->FinishWrites());
     RecordSpillEvent(ctx, right_parts->bytes() + left_parts->bytes(),
                      &mutable_stats());
@@ -887,8 +880,8 @@ class HashJoinOp final : public Operator {
       ProcessJoinPartition(right_parts->TakePartition(i),
                            left_parts->TakePartition(i), /*level=*/1);
     }
-    RestoreSpilledOrder(&results_, &result_seqs_);
-    results_bytes_ = ApproxRowVectorBytes(results_);
+    RestoreSpilledOrder(&results_.rows, &result_seqs_);
+    results_bytes_ = ApproxRowVectorBytes(results_.rows);
     ChargeMemory(results_bytes_);
   }
 
@@ -967,14 +960,12 @@ class HashJoinOp final : public Operator {
       const auto it = build.find(key);
       if (it == build.end()) continue;
       for (const Row& right_row : it->second) {
-        Row joined = row;
-        joined.insert(joined.end(), right_row.begin(), right_row.end());
-        results_.push_back(std::move(joined));
+        results_.rows.push_back(Concat(row, right_row));
         result_seqs_.push_back(seq);
       }
     }
     build.clear();
-    results_bytes_ = ApproxRowVectorBytes(results_);
+    results_bytes_ = ApproxRowVectorBytes(results_.rows);
     ChargeMemory(results_bytes_);
   }
 
@@ -984,16 +975,19 @@ class HashJoinOp final : public Operator {
   std::vector<ExprPtr> right_keys_;
   Schema schema_;
   BuildMap build_;
-  Row probe_row_;
+  // Probe cursor: the current probe batch, the row after the one being
+  // joined, and that row's build matches not yet emitted.
+  RowBatch probe_;
+  size_t probe_pos_ = 0;
+  Row probe_key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
   // Spilled-mode output: materialized join result, restored to probe order.
   bool spilled_mode_ = false;
-  std::vector<Row> results_;
+  BufferedRows results_;
   /// Spilled mode only: probe sequence of each results_ row, consumed by
   /// RestoreSpilledOrder.
   std::vector<uint64_t> result_seqs_;
-  size_t next_ = 0;
   size_t results_bytes_ = 0;
 };
 
@@ -1017,33 +1011,41 @@ class NestedLoopJoinOp final : public Operator {
 
   void OpenImpl() override {
     right_->Open();
-    right_rows_.clear();
-    Row row;
-    while (right_->Next(&row)) right_rows_.push_back(row);
+    CloseImpl();
+    DrainChild(*right_, [&](Row& row) { right_rows_.push_back(std::move(row)); });
     ChargeMemory(ApproxRowVectorBytes(right_rows_));
     left_->Open();
-    have_left_ = false;
-    right_index_ = 0;
   }
 
-  bool NextImpl(Row* out) override {
-    while (true) {
-      if (!have_left_) {
-        if (!left_->Next(&left_row_)) return false;
-        have_left_ = true;
+  /// Joins one left batch at a time against the buffered right side; the
+  /// (left row, right row) cursor carries over between calls, so a cross
+  /// join never materializes its output.
+  bool NextBatchImpl(RowBatch* out) override {
+    while (!out->Full()) {
+      if (probe_pos_ >= probe_.size()) {
+        if (!left_->NextBatch(&probe_)) break;
+        probe_pos_ = 0;
         right_index_ = 0;
       }
-      while (right_index_ < right_rows_.size()) {
-        const Row& r = right_rows_[right_index_++];
-        Row joined = left_row_;
-        joined.insert(joined.end(), r.begin(), r.end());
-        if (predicate_ == nullptr || predicate_->Evaluate(joined).ToBool()) {
-          *out = std::move(joined);
-          return true;
-        }
+      if (right_index_ >= right_rows_.size()) {
+        ++probe_pos_;
+        right_index_ = 0;
+        continue;
       }
-      have_left_ = false;
+      Row joined =
+          Concat(probe_.rows()[probe_pos_], right_rows_[right_index_++]);
+      if (predicate_ == nullptr || predicate_->Evaluate(joined).ToBool()) {
+        out->Append(std::move(joined));
+      }
     }
+    return !out->empty();
+  }
+
+  void CloseImpl() override {
+    std::vector<Row>().swap(right_rows_);
+    probe_.Clear();
+    probe_pos_ = 0;
+    right_index_ = 0;
   }
 
  private:
@@ -1052,23 +1054,30 @@ class NestedLoopJoinOp final : public Operator {
   ExprPtr predicate_;
   Schema schema_;
   std::vector<Row> right_rows_;
-  Row left_row_;
-  bool have_left_ = false;
+  // Probe cursor: the current left batch, the left row being joined, and
+  // the next right row to pair it with.
+  RowBatch probe_;
+  size_t probe_pos_ = 0;
   size_t right_index_ = 0;
 };
 
 class SortOp final : public Operator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
+      : child_(std::move(child)) {
+    for (SortKey& k : keys) {
+      key_exprs_.push_back(std::move(k.expr));
+      descending_.push_back(!k.ascending);
+    }
+  }
   const Schema& schema() const override { return child_->schema(); }
   std::string name() const override { return "Sort"; }
   std::string label() const override {
     std::string out = "Sort [";
-    for (size_t i = 0; i < keys_.size(); ++i) {
+    for (size_t i = 0; i < key_exprs_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += keys_[i].expr->ToString();
-      out += keys_[i].ascending ? " asc" : " desc";
+      out += key_exprs_[i]->ToString();
+      out += descending_[i] ? " desc" : " asc";
     }
     return out + "]";
   }
@@ -1076,121 +1085,120 @@ class SortOp final : public Operator {
     return {child_.get()};
   }
 
+  /// With spilling on, this is an external sort: accumulate rows until the
+  /// budget pushes back, flush them as a stably sorted run, and merge the
+  /// runs lazily in NextBatchImpl.
   void OpenImpl() override {
     child_->Open();
-    rows_.clear();
-    next_ = 0;
-    runs_.clear();
-    heads_.clear();
-    merging_ = false;
-    if (SpillEnabled()) {
-      OpenWithSpill();
-      return;
-    }
-    Row row;
-    while (child_->Next(&row)) rows_.push_back(std::move(row));
-    ChargeMemory(ApproxRowVectorBytes(rows_));
-    SortRows();
-  }
-
-  bool NextImpl(Row* out) override {
-    if (merging_) {
-      // K-way merge, linear scan over the run heads (run counts are small).
-      // Strict less-than keeps the earliest run on ties; runs are
-      // consecutive input segments sorted stably, so the merged order is
-      // bit-identical to the in-memory stable sort.
-      int best = -1;
-      for (size_t i = 0; i < heads_.size(); ++i) {
-        if (!heads_[i].has_value()) continue;
-        if (best < 0 || RowLess(*heads_[i], *heads_[best])) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) return false;
-      *out = std::move(*heads_[best]);
-      AdvanceRun(static_cast<size_t>(best));
-      return true;
-    }
-    if (next_ >= rows_.size()) return false;
-    *out = std::move(rows_[next_++]);
-    return true;
-  }
-
- private:
-  bool RowLess(const Row& a, const Row& b) const {
-    for (const SortKey& k : keys_) {
-      const int c =
-          Value::Compare(k.expr->Evaluate(a), k.expr->Evaluate(b));
-      if (c != 0) return k.ascending ? c < 0 : c > 0;
-    }
-    return false;
-  }
-
-  void SortRows() {
-    std::stable_sort(
-        rows_.begin(), rows_.end(),
-        [this](const Row& a, const Row& b) { return RowLess(a, b); });
-  }
-
-  /// External sort: accumulate rows until the budget pushes back, flush
-  /// them as a stably sorted run, and merge the runs lazily in NextImpl.
-  void OpenWithSpill() {
-    const SpillConfig& cfg = query_context()->spill();
+    CloseImpl();
+    const bool spill = SpillEnabled();
     size_t mem_estimate = 0;
-    Row row;
-    while (child_->Next(&row)) {
-      mem_estimate += sizeof(Row) + row.capacity() * sizeof(Value);
+    DrainChild(*child_, [&](Row& row) {
+      keys_.push_back(EvalKey(key_exprs_, row));
       rows_.push_back(std::move(row));
-      if (TryChargeMemory(mem_estimate)) continue;
-      SortRows();
-      WriteRun(cfg);
-      rows_.clear();
+      if (!spill) return;
+      mem_estimate += 2 * sizeof(Row) +
+                      (rows_.back().capacity() + key_exprs_.size()) *
+                          sizeof(Value);
+      if (TryChargeMemory(mem_estimate)) return;
+      WriteRun();
       mem_estimate = 0;
       ChargeMemory(0);
-    }
+    });
     if (runs_.empty()) {  // everything fit: plain in-memory sort
-      ChargeMemory(ApproxRowVectorBytes(rows_));
-      SortRows();
+      ChargeMemory(ApproxRowVectorBytes(rows_) + ApproxRowVectorBytes(keys_));
+      results_.rows = SortBuffered();
       return;
     }
     if (!rows_.empty()) {
-      SortRows();
-      WriteRun(cfg);
-      rows_.clear();
+      WriteRun();
       ChargeMemory(0);
     }
     mutable_stats().extra["runs"] = runs_.size();
     heads_.resize(runs_.size());
     for (size_t i = 0; i < runs_.size(); ++i) AdvanceRun(i);
-    merging_ = true;
   }
 
-  void WriteRun(const SpillConfig& cfg) {
+  bool NextBatchImpl(RowBatch* out) override {
+    if (heads_.empty()) return results_.Emit(out);
+    // K-way merge, linear scan over the run heads (run counts are small).
+    // Strict less-than keeps the earliest run on ties; runs are consecutive
+    // input segments sorted stably, so the merged order is bit-identical to
+    // the in-memory stable sort.
+    while (!out->Full()) {
+      int best = -1;
+      for (size_t i = 0; i < heads_.size(); ++i) {
+        if (!heads_[i].has_value()) continue;
+        if (best < 0 ||
+            KeyLess(heads_[i]->key, heads_[best]->key, descending_)) {
+          best = static_cast<int>(i);
+        }
+      }
+      if (best < 0) break;
+      out->Append(std::move(heads_[best]->row));
+      AdvanceRun(static_cast<size_t>(best));
+    }
+    return !out->empty();
+  }
+
+  void CloseImpl() override {
+    std::vector<Row>().swap(rows_);
+    std::vector<Row>().swap(keys_);
+    results_.Release();
+    runs_.clear();
+    heads_.clear();
+  }
+
+ private:
+  /// A run's next row in merge order, with its evaluated sort key.
+  struct RunHead {
+    Row row;
+    Row key;
+  };
+
+  /// Empties the buffer into a vector in stable key order.
+  std::vector<Row> SortBuffered() {
+    std::vector<Row> sorted;
+    sorted.reserve(rows_.size());
+    for (size_t i : StableKeyOrder(keys_, descending_)) {
+      sorted.push_back(std::move(rows_[i]));
+    }
+    rows_.clear();
+    keys_.clear();
+    return sorted;
+  }
+
+  void WriteRun() {
     CheckAbort();
-    std::unique_ptr<SpillFile> run = CreateSpillFileOrThrow(cfg.directory);
-    for (const Row& row : rows_) ThrowIfError(run->Append(row));
+    std::unique_ptr<SpillFile> run =
+        CreateSpillFileOrThrow(query_context()->spill().directory);
+    for (const Row& row : SortBuffered()) ThrowIfError(run->Append(row));
     ThrowIfError(run->FinishWrites());
     RecordSpillEvent(query_context(), run->bytes(), &mutable_stats());
     runs_.push_back(std::move(run));
   }
 
+  /// Loads run i's next row into its head slot, evaluating its key once.
   void AdvanceRun(size_t i) {
     Row row;
     if (NextOrThrow(runs_[i].get(), &row)) {
-      heads_[i] = std::move(row);
+      Row key = EvalKey(key_exprs_, row);
+      heads_[i] = RunHead{std::move(row), std::move(key)};
     } else {
       heads_[i].reset();
     }
   }
 
   OperatorPtr child_;
-  std::vector<SortKey> keys_;
+  std::vector<ExprPtr> key_exprs_;
+  std::vector<bool> descending_;
+  // Input buffer: rows and their evaluated sort keys, index-aligned.
   std::vector<Row> rows_;
-  size_t next_ = 0;
+  std::vector<Row> keys_;
+  BufferedRows results_;
   // Spilled-mode state: sorted runs and their current merge heads.
   std::vector<std::unique_ptr<SpillFile>> runs_;
-  std::vector<std::optional<Row>> heads_;
-  bool merging_ = false;
+  std::vector<std::optional<RunHead>> heads_;
 };
 
 class LimitOp final : public Operator {
@@ -1209,10 +1217,13 @@ class LimitOp final : public Operator {
     child_->Open();
     emitted_ = 0;
   }
-  bool NextImpl(Row* out) override {
+  /// Asks the child for at most the rows still needed.
+  bool NextBatchImpl(RowBatch* out) override {
     if (emitted_ >= limit_) return false;
-    if (!child_->Next(out)) return false;
-    ++emitted_;
+    RowBatch head(std::min(limit_ - emitted_, out->capacity()));
+    if (!child_->NextBatch(&head)) return false;
+    for (Row& row : head.rows()) out->Append(std::move(row));
+    emitted_ += out->size();
     return true;
   }
 
@@ -1407,10 +1418,18 @@ struct ResultTableCharge {
   }
 };
 
+/// Closes the plan on every exit path of Materialize, so a cached plan
+/// keeps none of this run's buffers.
+struct PlanCloser {
+  Operator& root;
+  ~PlanCloser() { root.Close(); }
+};
+
 }  // namespace
 
 Result<Table> Materialize(Operator& root) {
   ResultTableCharge charge{root.query_context()};
+  PlanCloser closer{root};
   try {
     Table table(root.schema());
     root.Open();

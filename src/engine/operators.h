@@ -21,11 +21,10 @@ namespace sgb::engine {
 /// EXPLAIN ANALYZE convention): a blocking operator that drains its child
 /// inside Open() accounts that work in `open_ns`.
 struct OperatorStats {
-  uint64_t rows_produced = 0;  ///< rows emitted via Next() or NextBatch()
-  uint64_t next_calls = 0;     ///< all Next() calls, incl. the final miss
+  uint64_t rows_produced = 0;  ///< rows emitted via NextBatch()
   uint64_t batches = 0;        ///< non-empty batches emitted via NextBatch()
   uint64_t open_ns = 0;
-  uint64_t next_ns = 0;            ///< cumulative across all Next() calls
+  uint64_t next_ns = 0;            ///< cumulative across all NextBatch() calls
   uint64_t peak_memory_bytes = 0;  ///< approx. materialized state high-water
 
   /// Operator-specific counters (SGB distance computations, hash-table
@@ -64,14 +63,32 @@ class RowBatch {
   std::vector<Row> rows_;
 };
 
+/// The finished output of a blocking operator (aggregates, sort, spilled
+/// join, SGB): filled once in Open(), handed out batch by batch.
+struct BufferedRows {
+  std::vector<Row> rows;
+  size_t next = 0;  ///< first row not yet emitted
+
+  /// Moves up to out->capacity() rows into `out`; false once drained.
+  bool Emit(RowBatch* out);
+
+  /// Drops the rows and their allocation.
+  void Release() {
+    std::vector<Row>().swap(rows);
+    next = 0;
+  }
+};
+
 /// Pull-based (Volcano) physical operator. The executor calls Open() once,
-/// then Next() until it returns false. Operators own their children.
+/// then NextBatch() until it returns false, then Close(). Operators own
+/// their children.
 ///
-/// Open()/Next() are non-virtual instrumented entry points: they maintain
-/// the OperatorStats block (row counts and cumulative wall time) and
-/// delegate to the protected OpenImpl()/NextImpl() hooks subclasses
-/// implement. Parents call children through the public entry points, so
-/// every node in a plan accumulates stats with no per-operator plumbing.
+/// Open()/NextBatch() are non-virtual instrumented entry points: they
+/// maintain the OperatorStats block (row counts and cumulative wall time)
+/// and delegate to the protected OpenImpl()/NextBatchImpl() hooks
+/// subclasses implement. Parents call children through the public entry
+/// points, so every node in a plan accumulates stats with no per-operator
+/// plumbing.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -94,27 +111,15 @@ class Operator {
     stats_.open_ns = ElapsedNs(t0);
   }
 
-  bool Next(Row* out) {
-    // Governance check at row-stride granularity: cheap relative to the two
-    // clock reads the stats already pay per row.
-    if (ctx_ != nullptr &&
-        stats_.next_calls % QueryContext::kNextCheckInterval == 0) {
-      ThrowIfAborted(ctx_);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = NextImpl(out);
-    stats_.next_ns += ElapsedNs(t0);
-    ++stats_.next_calls;
-    if (ok) ++stats_.rows_produced;
-    return ok;
-  }
-
-  /// Batch-at-a-time pull: fills `out` with up to out->capacity() rows and
-  /// returns true, or returns false once the operator is exhausted (out is
-  /// left empty). Instrumented like Next(); a batch's rows count toward
-  /// rows_produced exactly once. Drive an operator through either Next()
-  /// or NextBatch() for a given Open(), not both.
+  /// Fills `out` with 1 to out->capacity() rows and returns true, or
+  /// returns false once the operator is exhausted (out is left empty).
+  /// Checks governance once per call; a batch's rows count toward
+  /// rows_produced exactly once.
   bool NextBatch(RowBatch* out);
+
+  /// Frees this subtree's buffers and memory charges after a run, so a
+  /// cached plan keeps no rows between runs; stats stay readable.
+  void Close();
 
   /// Counters from the most recent (possibly still running) execution.
   const OperatorStats& stats() const { return stats_; }
@@ -162,18 +167,10 @@ class Operator {
 
  protected:
   virtual void OpenImpl() = 0;
-  virtual bool NextImpl(Row* out) = 0;
-
-  /// Default adapter: loops NextImpl() until the batch is full. Operators
-  /// with a cheaper bulk path (scans, filters, projections, SGB) override.
-  virtual bool NextBatchImpl(RowBatch* out) {
-    Row row;
-    while (!out->Full() && NextImpl(&row)) {
-      out->Append(std::move(row));
-      row.clear();
-    }
-    return !out->empty();
-  }
+  /// `out` arrives empty; same contract as NextBatch().
+  virtual bool NextBatchImpl(RowBatch* out) = 0;
+  /// Blocking operators swap their buffers with empty ones.
+  virtual void CloseImpl() {}
 
   /// For subclasses publishing memory estimates or extra counters.
   OperatorStats& mutable_stats() { return stats_; }
@@ -183,8 +180,7 @@ class Operator {
   /// context is attached), throwing QueryAbort with ResourceExhausted when
   /// the budget does not cover it. Call with the current total held by the
   /// operator; repeated calls re-charge only the difference. The charge is
-  /// released on the next Open() and rolled up by the per-query tracker's
-  /// destructor at query end.
+  /// released by Close() and by the next Open().
   void ChargeMemory(size_t bytes);
 
   /// Non-throwing variant of ChargeMemory for spill-capable operators:
@@ -280,7 +276,7 @@ OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys);
 OperatorPtr MakeLimit(OperatorPtr child, size_t limit);
 
 /// Drains `root` into a materialized table (schema copied from the
-/// operator).
+/// operator), then closes the plan.
 Result<Table> Materialize(Operator& root);
 
 /// Renders the operator tree as an indented EXPLAIN-style listing:

@@ -121,11 +121,7 @@ class SgbOperatorBase : public Operator {
 
   void OpenImpl() override {
     child_->Open();
-    rows_.clear();
-    results_.clear();
-    next_ = 0;
-    spilled_rows_.reset();
-    ResetPoints();
+    CloseImpl();
 
     // Drain the child. The coordinate columns are extracted per row as it
     // arrives (they must stay in RAM for the grouping core); the full row
@@ -134,32 +130,27 @@ class SgbOperatorBase : public Operator {
     // so the streamed re-aggregation below is bit-identical to the
     // in-memory one.
     size_t row_count = 0;
+    const bool spill = SpillEnabled();
+    size_t mem_estimate = 0;
     RowBatch batch;
-    if (SpillEnabled()) {
-      size_t mem_estimate = 0;
-      while (child_->NextBatch(&batch)) {
-        for (Row& row : batch.rows()) {
-          AddPoint(row, row_count++);
-          if (spilled_rows_ != nullptr) {
-            ThrowIfError(spilled_rows_->Append(row));
-            continue;
-          }
-          mem_estimate += sizeof(Row) + row.capacity() * sizeof(Value);
-          rows_.push_back(std::move(row));
-          if (TryChargeMemory(mem_estimate + PointBytes())) continue;
-          // Budget breached: move the buffered rows to disk and keep
-          // streaming the remaining input straight there.
-          SpillBufferedRows();
+    while (child_->NextBatch(&batch)) {
+      for (Row& row : batch.rows()) {
+        AddPoint(row, row_count++);
+        if (spilled_rows_ != nullptr) {
+          ThrowIfError(spilled_rows_->Append(row));
+          continue;
         }
+        mem_estimate += sizeof(Row) + row.capacity() * sizeof(Value);
+        rows_.push_back(std::move(row));
+        if (!spill || TryChargeMemory(mem_estimate + PointBytes())) continue;
+        // Budget breached: move the buffered rows to disk and keep
+        // streaming the remaining input straight there.
+        SpillBufferedRows();
       }
-      if (spilled_rows_ != nullptr) FinishSpill();
-    } else {
-      while (child_->NextBatch(&batch)) {
-        for (Row& row : batch.rows()) {
-          AddPoint(row, row_count++);
-          rows_.push_back(std::move(row));
-        }
-      }
+    }
+    if (spilled_rows_ != nullptr) {
+      FinishSpill();
+    } else if (!spill) {
       ChargeMemory(ApproxRowVectorBytes(rows_) + PointBytes());
     }
     {
@@ -243,28 +234,25 @@ class SgbOperatorBase : public Operator {
       }
       spilled_rows_.reset();
     }
-    results_.reserve(num_groups);
+    results_.rows.reserve(num_groups);
     for (size_t g = 0; g < num_groups; ++g) {
       Row out;
       out.reserve(1 + aggregates_.size());
       out.push_back(Value::Int(static_cast<int64_t>(g)));
       for (const auto& state : states[g]) out.push_back(state->Finalize());
-      results_.push_back(std::move(out));
+      results_.rows.push_back(std::move(out));
     }
     rows_.clear();
-    ChargeMemory(PointBytes() + ApproxRowVectorBytes(results_));
+    ChargeMemory(PointBytes() + ApproxRowVectorBytes(results_.rows));
   }
 
-  bool NextImpl(Row* out) override {
-    if (next_ >= results_.size()) return false;
-    *out = std::move(results_[next_++]);
-    return true;
-  }
+  bool NextBatchImpl(RowBatch* out) override { return results_.Emit(out); }
 
-  bool NextBatchImpl(RowBatch* out) override {
-    const size_t end = std::min(results_.size(), next_ + out->capacity());
-    for (; next_ < end; ++next_) out->Append(std::move(results_[next_]));
-    return !out->empty();
+  void CloseImpl() override {
+    std::vector<Row>().swap(rows_);
+    results_.Release();
+    spilled_rows_.reset();
+    ResetPoints();
   }
 
  protected:
@@ -277,7 +265,7 @@ class SgbOperatorBase : public Operator {
   /// assigns a group id in [0, *num_groups) — or kNoGroup — to every input
   /// index. Implementations publish their core-algorithm counters
   /// (distance computations, rectangle tests, ...) into
-  /// mutable_stats().extra.
+  /// mutable_stats().extra. ResetPoints() frees the extracted coordinates.
   virtual void ResetPoints() = 0;
   virtual void AddPoint(const Row& row, size_t index) = 0;
   virtual size_t PointBytes() const = 0;
@@ -318,8 +306,7 @@ class SgbOperatorBase : public Operator {
   std::vector<AggregateSpec> aggregates_;
   Schema schema_;
   std::vector<Row> rows_;
-  std::vector<Row> results_;
-  size_t next_ = 0;
+  BufferedRows results_;
   std::unique_ptr<SpillFile> spilled_rows_;  ///< input rows, when spilling
 };
 
@@ -342,8 +329,8 @@ class SgbOperator2d final : public SgbOperatorBase {
 
  protected:
   void ResetPoints() override {
-    points_.clear();
-    point_row_.clear();
+    std::vector<geom::Point>().swap(points_);
+    std::vector<size_t>().swap(point_row_);
   }
 
   void AddPoint(const Row& row, size_t index) override {
@@ -422,8 +409,8 @@ class SgbOperator3d final : public SgbOperatorBase {
 
  protected:
   void ResetPoints() override {
-    points_.clear();
-    point_row_.clear();
+    std::vector<geom::PointN<3>>().swap(points_);
+    std::vector<size_t>().swap(point_row_);
   }
 
   void AddPoint(const Row& row, size_t index) override {
@@ -494,8 +481,8 @@ class SgbOperator1d final : public SgbOperatorBase {
 
  protected:
   void ResetPoints() override {
-    values_.clear();
-    value_row_.clear();
+    std::vector<double>().swap(values_);
+    std::vector<size_t>().swap(value_row_);
   }
 
   void AddPoint(const Row& row, size_t index) override {

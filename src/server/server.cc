@@ -135,15 +135,23 @@ size_t Server::active_connections() const {
 }
 
 void Server::ReapFinished() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  auto it = conns_.begin();
-  while (it != conns_.end()) {
-    if ((*it)->done.load(std::memory_order_acquire)) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
+  // Join outside conns_mu_, as Stop() does: a finishing connection thread
+  // takes the same mutex (active_connections()) after setting `done`.
+  std::vector<std::shared_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    auto it = conns_.begin();
+    while (it != conns_.end()) {
+      if ((*it)->done.load(std::memory_order_acquire)) {
+        finished.push_back(std::move(*it));
+        it = conns_.erase(it);
+      } else {
+        ++it;
+      }
     }
+  }
+  for (auto& conn : finished) {
+    if (conn->thread.joinable()) conn->thread.join();
   }
 }
 

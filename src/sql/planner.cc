@@ -48,7 +48,9 @@ class RenameOp final : public Operator {
     return {child_.get()};
   }
   void OpenImpl() override { child_->Open(); }
-  bool NextImpl(Row* out) override { return child_->Next(out); }
+  bool NextBatchImpl(engine::RowBatch* out) override {
+    return child_->NextBatch(out);
+  }
 
  private:
   OperatorPtr child_;

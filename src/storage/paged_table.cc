@@ -185,11 +185,6 @@ class PagedScanOp final : public engine::Operator {
     pending_.clear();
     pos_ = 0;
   }
-  bool NextImpl(engine::Row* out) override {
-    if (pos_ >= pending_.size() && !LoadNextPage()) return false;
-    *out = std::move(pending_[pos_++]);
-    return true;
-  }
   bool NextBatchImpl(engine::RowBatch* out) override {
     while (!out->Full()) {
       if (pos_ >= pending_.size() && !LoadNextPage()) break;

@@ -104,15 +104,15 @@ TEST(AppendTableTest, ScanPinsItsSnapshotAtOpen) {
 
   // Rows appended after Open are invisible to this scan...
   ASSERT_TRUE(db.Query("INSERT INTO feed VALUES (3)").ok());
-  Row row;
+  RowBatch batch;
   size_t scanned = 0;
-  while (scan->Next(&row)) ++scanned;
+  while (scan->NextBatch(&batch)) scanned += batch.size();
   EXPECT_EQ(scanned, 2u);
 
   // ...but re-opening the same plan pins a fresh snapshot.
   scan->Open();
   scanned = 0;
-  while (scan->Next(&row)) ++scanned;
+  while (scan->NextBatch(&batch)) scanned += batch.size();
   EXPECT_EQ(scanned, 3u);
 }
 

@@ -1,7 +1,10 @@
-// Differential tests for the batch-at-a-time pipeline: driving a plan
-// through NextBatch() must produce exactly the rows (values and order) of
-// the row-at-a-time Next() loop, for every operator and for whole SGB
-// queries across overlap clauses, metrics, and degrees of parallelism.
+// Capacity-sweep tests for the batch pipeline: draining a plan through
+// NextBatch() with capacities 1, 7 and 1024 must produce exactly the rows
+// (values and order) of the default-capacity run, for every operator —
+// fan-out joins, cross joins, LIMIT around the capacity, sorts with tied
+// keys in memory and spilled — and for whole SGB queries across overlap
+// clauses, metrics, and degrees of parallelism. No batch may exceed its
+// capacity.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/query_context.h"
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/operators.h"
@@ -16,6 +20,8 @@
 
 namespace sgb::engine {
 namespace {
+
+constexpr size_t kCapacities[] = {1, 7, 1024};
 
 Database PointsDb(size_t n, uint64_t seed) {
   Database db;
@@ -39,19 +45,15 @@ Database PointsDb(size_t n, uint64_t seed) {
   return db;
 }
 
-std::vector<Row> DrainRows(Operator& op) {
-  op.Open();
-  std::vector<Row> out;
-  Row row;
-  while (op.Next(&row)) out.push_back(std::move(row));
-  return out;
-}
-
+/// Opens `op` and drains it at `capacity`, checking that every batch is
+/// non-empty and within capacity.
 std::vector<Row> DrainBatches(Operator& op, size_t capacity) {
   op.Open();
   std::vector<Row> out;
   RowBatch batch(capacity);
   while (op.NextBatch(&batch)) {
+    EXPECT_FALSE(batch.empty());
+    EXPECT_LE(batch.size(), capacity);
     for (Row& row : batch.rows()) out.push_back(std::move(row));
   }
   return out;
@@ -70,29 +72,27 @@ void ExpectSameRows(const std::vector<Row>& want,
   }
 }
 
-/// Prepares `sql` twice against the same catalog and checks the row-driven
-/// and batch-driven executions agree exactly.
-void ExpectRowBatchEquivalence(const Database& db, const std::string& sql,
-                               size_t capacity = RowBatch::kDefaultCapacity) {
-  auto row_plan = db.Prepare(sql);
-  ASSERT_TRUE(row_plan.ok()) << row_plan.status().ToString();
-  auto batch_plan = db.Prepare(sql);
-  ASSERT_TRUE(batch_plan.ok()) << batch_plan.status().ToString();
-  const std::vector<Row> want = DrainRows(*row_plan.value());
-  const std::vector<Row> got = DrainBatches(*batch_plan.value(), capacity);
-  ExpectSameRows(want, got, sql + " [cap=" + std::to_string(capacity) + "]");
+/// Prepares `sql` once per capacity and checks each run against a
+/// default-capacity run of its own plan.
+void ExpectCapacityInvariance(const Database& db, const std::string& sql) {
+  auto reference_plan = db.Prepare(sql);
+  ASSERT_TRUE(reference_plan.ok()) << reference_plan.status().ToString();
+  const std::vector<Row> want =
+      DrainBatches(*reference_plan.value(), RowBatch::kDefaultCapacity);
+  for (const size_t cap : kCapacities) {
+    auto plan = db.Prepare(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ExpectSameRows(want, DrainBatches(*plan.value(), cap),
+                   sql + " [cap=" + std::to_string(cap) + "]");
+  }
 }
 
 TEST(BatchPipelineTest, ScanFilterProjectEquivalence) {
   const Database db = PointsDb(500, 11);
-  // Odd batch capacities exercise partial final batches and re-fill loops.
-  for (const size_t cap : {1ul, 7ul, 64ul, 1024ul}) {
-    ExpectRowBatchEquivalence(db, "SELECT x, y FROM pts", cap);
-    ExpectRowBatchEquivalence(db, "SELECT x + y, w FROM pts WHERE x > 2.0",
-                              cap);
-    ExpectRowBatchEquivalence(
-        db, "SELECT w, count(*) FROM pts GROUP BY w ORDER BY w", cap);
-  }
+  ExpectCapacityInvariance(db, "SELECT x, y FROM pts");
+  ExpectCapacityInvariance(db, "SELECT x + y, w FROM pts WHERE x > 2.0");
+  ExpectCapacityInvariance(
+      db, "SELECT w, count(*) FROM pts GROUP BY w ORDER BY w");
 }
 
 TEST(BatchPipelineTest, SgbQueriesEquivalentAcrossClausesMetricsAndDop) {
@@ -105,7 +105,7 @@ TEST(BatchPipelineTest, SgbQueriesEquivalentAcrossClausesMetricsAndDop) {
                         "GROUP BY x, y DISTANCE-TO-ALL ") +
             metric + " WITHIN 1.5 ON-OVERLAP " + clause + " PARALLEL " +
             std::to_string(dop);
-        ExpectRowBatchEquivalence(db, sql);
+        ExpectCapacityInvariance(db, sql);
       }
     }
   }
@@ -114,10 +114,114 @@ TEST(BatchPipelineTest, SgbQueriesEquivalentAcrossClausesMetricsAndDop) {
 TEST(BatchPipelineTest, SgbAnyQueryEquivalence) {
   const Database db = PointsDb(300, 31);
   for (const int dop : {1, 4}) {
-    ExpectRowBatchEquivalence(
+    ExpectCapacityInvariance(
         db, "SELECT group_id, count(*) FROM pts GROUP BY x, y "
             "DISTANCE-TO-ANY L2 WITHIN 3 PARALLEL " +
                 std::to_string(dop));
+  }
+}
+
+/// `keys` has 3 rows per key 0..2 plus NULL keys; `fan` has `fan_out` rows
+/// per key 0..2, so every matching probe row joins `fan_out` build rows.
+Database JoinDb(size_t fan_out) {
+  Database db;
+  auto keys = std::make_shared<Table>(Schema({
+      Column{"k", DataType::kInt64, ""},
+      Column{"tag", DataType::kInt64, ""},
+  }));
+  for (int64_t i = 0; i < 12; ++i) {
+    const Value k = i % 4 == 3 ? Value::Null() : Value::Int(i % 4);
+    EXPECT_TRUE(keys->Append({k, Value::Int(i)}).ok());
+  }
+  auto fan = std::make_shared<Table>(Schema({
+      Column{"fk", DataType::kInt64, ""},
+      Column{"seq", DataType::kInt64, ""},
+  }));
+  for (size_t i = 0; i < 3 * fan_out; ++i) {
+    EXPECT_TRUE(fan->Append({Value::Int(static_cast<int64_t>(i % 3)),
+                             Value::Int(static_cast<int64_t>(i))})
+                    .ok());
+  }
+  db.Register("keys", keys);
+  db.Register("fan", fan);
+  return db;
+}
+
+TEST(BatchPipelineTest, HashJoinFanOutBeyondCapacity) {
+  // 1500 matches per probe row: more than every swept capacity, so one
+  // probe row's output spans several batches at each of them.
+  const Database db = JoinDb(1500);
+  const std::string sql = "SELECT tag, seq FROM keys, fan WHERE k = fk";
+  auto explain = db.Explain(sql);
+  ASSERT_TRUE(explain.ok());
+  ASSERT_NE(explain.value().find("HashJoin"), std::string::npos)
+      << explain.value();
+  ExpectCapacityInvariance(db, sql);
+
+  auto plan = db.Prepare(sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(DrainBatches(*plan.value(), 7).size(), 9u * 1500u);
+}
+
+TEST(BatchPipelineTest, CrossAndThetaJoins) {
+  const Database db = JoinDb(40);
+  auto explain = db.Explain("SELECT tag, seq FROM keys, fan");
+  ASSERT_TRUE(explain.ok());
+  ASSERT_NE(explain.value().find("NestedLoopJoin (cross)"), std::string::npos)
+      << explain.value();
+  ExpectCapacityInvariance(db, "SELECT tag, seq FROM keys, fan");
+  ExpectCapacityInvariance(db,
+                           "SELECT tag, seq FROM keys, fan WHERE seq < tag");
+
+  auto plan = db.Prepare("SELECT tag, seq FROM keys, fan");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(DrainBatches(*plan.value(), 7).size(), 12u * 120u);
+}
+
+TEST(BatchPipelineTest, LimitBelowAndAboveCapacity) {
+  const Database db = PointsDb(3000, 41);
+  for (const int limit : {0, 1, 5, 2000}) {
+    ExpectCapacityInvariance(
+        db, "SELECT x, w FROM pts LIMIT " + std::to_string(limit));
+    ExpectCapacityInvariance(db, "SELECT x, w FROM pts ORDER BY w LIMIT " +
+                                     std::to_string(limit));
+  }
+}
+
+TEST(BatchPipelineTest, LimitPullsOnlyTheRowsItNeeds) {
+  const Database db = PointsDb(3000, 43);
+  auto plan = db.Prepare("SELECT x FROM pts LIMIT 5");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(DrainBatches(*plan.value(), RowBatch::kDefaultCapacity).size(),
+            5u);
+  const Operator* scan = plan.value().get();
+  while (!scan->children().empty()) scan = scan->children()[0];
+  EXPECT_EQ(scan->name(), "TableScan");
+  EXPECT_EQ(scan->stats().rows_produced, 5u);
+}
+
+TEST(BatchPipelineTest, SpilledSortWithTiesMatchesInMemorySort) {
+  // Seven distinct keys over 2000 rows: heavy ties, so stability decides
+  // the order. The budget forces a run every few dozen rows.
+  const Database db = PointsDb(2000, 47);
+  const std::string sql = "SELECT w, x FROM pts ORDER BY w DESC";
+  auto reference_plan = db.Prepare(sql);
+  ASSERT_TRUE(reference_plan.ok());
+  const std::vector<Row> want =
+      DrainBatches(*reference_plan.value(), RowBatch::kDefaultCapacity);
+  for (const size_t cap : kCapacities) {
+    auto plan = db.Prepare(sql);
+    ASSERT_TRUE(plan.ok());
+    QueryContext ctx(/*memory_budget_bytes=*/16 * 1024);
+    SpillConfig spill;
+    spill.enabled = true;
+    ctx.set_spill(spill);
+    plan.value()->SetQueryContext(&ctx);
+    ExpectSameRows(want, DrainBatches(*plan.value(), cap),
+                   sql + " spilled [cap=" + std::to_string(cap) + "]");
+    EXPECT_GT(ctx.spill_events(), 1u) << "budget did not force sorted runs";
+    plan.value()->Close();
+    plan.value()->SetQueryContext(nullptr);
   }
 }
 
@@ -156,8 +260,7 @@ TEST(BatchPipelineTest, BatchesBumpRegistryCounterAndExplainAnalyze) {
   EXPECT_GT(registry.GetCounter("sgb.kernel.pairs").value(), 0u);
 }
 
-TEST(BatchPipelineTest, DefaultAdapterHonorsCapacityAndExhaustion) {
-  // Sort has no native batch path: the default adapter loops NextImpl.
+TEST(BatchPipelineTest, BlockingOperatorHonorsCapacityAndExhaustion) {
   const Database db = PointsDb(100, 17);
   auto plan = db.Prepare("SELECT x FROM pts ORDER BY x");
   ASSERT_TRUE(plan.ok());
@@ -181,6 +284,26 @@ TEST(BatchPipelineTest, DefaultAdapterHonorsCapacityAndExhaustion) {
   // Exhausted: further calls keep returning false with an empty batch.
   EXPECT_FALSE(op.NextBatch(&batch));
   EXPECT_TRUE(batch.empty());
+}
+
+TEST(BatchPipelineTest, CloseFreesBuffersAndKeepsStats) {
+  const Database db = PointsDb(500, 19);
+  auto plan = db.Prepare("SELECT x FROM pts ORDER BY x LIMIT 3");
+  ASSERT_TRUE(plan.ok());
+  Operator& op = *plan.value();
+  QueryContext ctx;
+  op.SetQueryContext(&ctx);
+  EXPECT_EQ(DrainBatches(op, RowBatch::kDefaultCapacity).size(), 3u);
+  // The sort still holds its other 497 rows, charged to the query.
+  EXPECT_GT(ctx.memory().usage_bytes(), 0u);
+  op.Close();
+  EXPECT_EQ(ctx.memory().usage_bytes(), 0u);
+  EXPECT_EQ(op.stats().rows_produced, 3u);
+  RowBatch batch;
+  EXPECT_FALSE(op.NextBatch(&batch));
+  // A closed plan re-opens and runs again.
+  EXPECT_EQ(DrainBatches(op, RowBatch::kDefaultCapacity).size(), 3u);
+  op.SetQueryContext(nullptr);
 }
 
 }  // namespace

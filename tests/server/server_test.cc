@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -236,6 +241,50 @@ TEST(ServerTest, StopLeavesTheDatabaseUsable) {
   auto direct = db.Query("SELECT count(*) FROM pts");
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(direct.value().rows()[0][0].AsInt(), 25);
+}
+
+TEST(ServerTest, ReapingSurvivesConnectionChurn) {
+  // Every accept reaps finished connections while their threads may still
+  // be on their way out (a finishing thread reads the connection count
+  // after marking itself done). Several clients connecting and hanging up
+  // back to back keep accepts and exits overlapping; a reaper that joins
+  // under the connection lock deadlocks here.
+  engine::Database db = PointsDb(10);
+  ServerOptions options;
+  options.unix_path = UniqueUnixPath("srv_churn");
+  Server server(&db, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 4;
+  constexpr int kRounds = 150;
+  std::atomic<int> failures{0};
+  auto churn = std::async(std::launch::async, [&] {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        for (int i = 0; i < kRounds; ++i) {
+          auto client = Client::ConnectUnixSocket(options.unix_path);
+          if (!client.ok() || !client.value().Ping().ok()) {
+            failures.fetch_add(1);
+          }
+          // The client closes its socket here; the server thread exits.
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+  });
+  if (churn.wait_for(std::chrono::seconds(60)) !=
+      std::future_status::ready) {
+    // A deadlocked server never lets the clients finish; fail loudly
+    // instead of hanging until ctest's timeout.
+    ADD_FAILURE() << "connection churn did not finish: reaper deadlock";
+    std::abort();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.total_connections(),
+            static_cast<uint64_t>(kClients * kRounds));
+  server.Stop();
+  EXPECT_EQ(server.active_connections(), 0u);
 }
 
 }  // namespace
