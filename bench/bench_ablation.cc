@@ -1,7 +1,7 @@
 // Ablation benches for the design choices DESIGN.md calls out:
-//  1. Spatial access method for ε-window queries (SGB-Any's inner loop):
-//     R-tree vs. uniform grid vs. linear scan, on uniform and clustered
-//     (check-in-like) data.
+//  1. ε-neighbour substrate (SGB-Any's inner loop): streaming R-tree
+//     window queries vs. the clique-cell grid's component pass vs. a
+//     linear scan, on uniform and clustered (check-in-like) data.
 //  2. R-tree node capacity (Guttman's M) for the SGB-All Groups_IX.
 //  3. Hull-refinement cost: SGB-All bounds-checking under L2 (hull test
 //     active) vs. L∞ (rectangle test exact) on identical data.
@@ -10,7 +10,8 @@
 
 #include "bench_common.h"
 #include "core/sgb_all.h"
-#include "index/grid_index.h"
+#include "common/thread_pool.h"
+#include "index/grid_partition.h"
 #include "index/rtree.h"
 #include "workload/checkin.h"
 
@@ -58,20 +59,19 @@ void BM_WindowQueriesRTree(benchmark::State& state, bool clustered) {
   state.counters["pairs"] = static_cast<double>(hits);
 }
 
-void BM_WindowQueriesGrid(benchmark::State& state, bool clustered) {
+/// The clique-cell grid answering the same question in bulk: the
+/// components of the L∞ ε-graph (the R-tree's window is the L∞ ball).
+void BM_ComponentsGrid(benchmark::State& state, bool clustered) {
   const auto& pts = Data(clustered);
-  size_t hits = 0;
+  size_t components = 0;
   for (auto _ : state) {
-    sgb::index::GridIndex grid(kEpsilon);
-    hits = 0;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      grid.Search(Rect::Around(pts[i], kEpsilon),
-                  [&hits](const Point&, uint64_t) { ++hits; });
-      grid.Insert(pts[i], i);
-    }
-    benchmark::DoNotOptimize(hits);
+    components = sgb::index::SimilarityComponents(
+                     pts, sgb::geom::Metric::kLInf, kEpsilon, /*dop=*/1,
+                     sgb::ThreadPool::Default(), nullptr)
+                     .num_components;
+    benchmark::DoNotOptimize(components);
   }
-  state.counters["pairs"] = static_cast<double>(hits);
+  state.counters["components"] = static_cast<double>(components);
 }
 
 void BM_WindowQueriesLinear(benchmark::State& state, bool clustered) {
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         ("Ablation_Index/Grid/" + tag).c_str(),
         [clustered](benchmark::State& s) {
-          BM_WindowQueriesGrid(s, clustered);
+          BM_ComponentsGrid(s, clustered);
         })
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(

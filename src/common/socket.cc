@@ -110,7 +110,7 @@ Listener::~Listener() { Close(); }
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     Close();
-    socket_ = std::move(other.socket_);
+    fd_.store(other.fd_.exchange(-1));
     unix_path_ = std::move(other.unix_path_);
     port_ = other.port_;
     other.unix_path_.clear();
@@ -120,10 +120,14 @@ Listener& Listener::operator=(Listener&& other) noexcept {
 }
 
 void Listener::Close() {
-  // shutdown() first so a thread blocked in accept() on this fd wakes with
-  // an error instead of racing the close.
-  socket_.Shutdown();
-  socket_.Close();
+  // The exchange hands the descriptor to exactly one closer, and a later
+  // Accept() loads -1. shutdown() before close() wakes a thread already
+  // blocked in accept() on it with an error instead of racing the close.
+  const int owned = fd_.exchange(-1);
+  if (owned >= 0) {
+    ::shutdown(owned, SHUT_RDWR);
+    ::close(owned);
+  }
   if (!unix_path_.empty()) {
     ::unlink(unix_path_.c_str());
     unix_path_.clear();
@@ -148,7 +152,7 @@ Result<Listener> Listener::ListenUnix(const std::string& path) {
   if (::listen(fd, 64) != 0) return Errno("listen");
 
   Listener listener;
-  listener.socket_ = std::move(sock);
+  listener.fd_.store(sock.Release());
   listener.unix_path_ = path;
   return listener;
 }
@@ -175,16 +179,17 @@ Result<Listener> Listener::ListenTcp(uint16_t port) {
   }
 
   Listener listener;
-  listener.socket_ = std::move(sock);
+  listener.fd_.store(sock.Release());
   listener.port_ = ntohs(addr.sin_port);
   return listener;
 }
 
 Result<Socket> Listener::Accept() {
   SGB_RETURN_IF_ERROR(g_accept_fault.Check());
-  if (!socket_.valid()) return Status::IoError("accept on closed listener");
+  const int listen_fd = fd_.load();
+  if (listen_fd < 0) return Status::IoError("accept on closed listener");
   while (true) {
-    const int fd = ::accept(socket_.fd(), nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return Errno("accept");

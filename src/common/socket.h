@@ -1,6 +1,7 @@
 #ifndef SGB_COMMON_SOCKET_H_
 #define SGB_COMMON_SOCKET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -41,6 +42,13 @@ class Socket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
+  /// Gives up ownership: returns the descriptor and leaves -1 behind.
+  int Release() {
+    const int fd = fd_;
+    fd_ = -1;
+    return fd;
+  }
+
   /// Closes the descriptor now (idempotent).
   void Close();
 
@@ -80,7 +88,8 @@ class LineReader {
 };
 
 /// A listening socket accepting connections on a unix path or a TCP
-/// loopback port.
+/// loopback port. One thread may block in Accept() while another calls
+/// Close(): the descriptor is an atomic that Accept() loads once.
 class Listener {
  public:
   /// Binds and listens on a unix-domain socket at `path` (unlinking any
@@ -94,7 +103,7 @@ class Listener {
   Listener() = default;
   ~Listener();
   Listener(Listener&& other) noexcept
-      : socket_(std::move(other.socket_)),
+      : fd_(other.fd_.exchange(-1)),
         unix_path_(std::move(other.unix_path_)),
         port_(other.port_) {
     other.unix_path_.clear();
@@ -102,7 +111,7 @@ class Listener {
   }
   Listener& operator=(Listener&& other) noexcept;
 
-  bool valid() const { return socket_.valid(); }
+  bool valid() const { return fd_.load() >= 0; }
   /// Bound TCP port (0 for unix listeners).
   uint16_t port() const { return port_; }
   const std::string& unix_path() const { return unix_path_; }
@@ -115,7 +124,7 @@ class Listener {
   void Close();
 
  private:
-  Socket socket_;
+  std::atomic<int> fd_{-1};
   std::string unix_path_;  ///< unlinked on destruction
   uint16_t port_ = 0;
 };

@@ -12,7 +12,6 @@
 #include "geom/kernels.h"
 #include "index/grid_partition.h"
 #include "index/rtree.h"
-#include "index/union_find.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -426,26 +425,16 @@ Grouping RunParallel(std::span<const Point> points,
   const size_t n = points.size();
   ThreadPool& pool = ThreadPool::Default();
 
-  index::UnionFind forest(n);
   std::vector<index::GridPartitionStats> grid_stats;
-  index::ParallelSimilarityUnion(points, Metric::kLInf, 3.0 * options.epsilon,
-                                 dop, pool, &forest, &grid_stats,
-                                 options.query_ctx);
+  index::GridComponents components = index::SimilarityComponents(
+      points, Metric::kLInf, 3.0 * options.epsilon, dop, pool, &grid_stats,
+      options.query_ctx);
 
-  // Dense component ids in order of first appearance, plus member lists
-  // (each ascending, i.e. in canonical input order).
-  std::vector<size_t> comp_of(n);
-  std::vector<size_t> comp_id_of_root(n, Grouping::kEliminated);
-  std::vector<std::vector<size_t>> comp_members;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t root = forest.Find(i);
-    if (comp_id_of_root[root] == Grouping::kEliminated) {
-      comp_id_of_root[root] = comp_members.size();
-      comp_members.emplace_back();
-    }
-    comp_of[i] = comp_id_of_root[root];
-    comp_members[comp_of[i]].push_back(i);
-  }
+  // Member lists per component (labels are dense in order of first
+  // appearance; each list ascending, i.e. in canonical input order).
+  const std::vector<size_t>& comp_of = components.component_of;
+  std::vector<std::vector<size_t>> comp_members(components.num_components);
+  for (size_t i = 0; i < n; ++i) comp_members[comp_of[i]].push_back(i);
 
   // Largest components first, so stragglers start early.
   std::vector<size_t> comp_order(comp_members.size());

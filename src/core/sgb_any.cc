@@ -23,8 +23,8 @@ using geom::Rect;
 /// overhead dominates any possible speedup.
 constexpr size_t kMinParallelPoints = 64;
 
-/// Points processed between governance checks in the serial loops (the
-/// parallel path checks inside the grid-partitioned union instead).
+/// Points processed between governance checks in the All-Pairs and R-tree
+/// loops (the grid checks once per cell instead).
 constexpr size_t kAbortCheckStride = 64;
 
 Grouping LabelComponents(std::span<const Point> points,
@@ -73,9 +73,9 @@ Grouping RunAllPairs(std::span<const Point> points,
 /// fused: the window query yields the ε-neighbours among processed points;
 /// each verified neighbour's group is merged with the new point's via
 /// union-find, which realizes new-group creation, single-group join, and
-/// multi-group merge uniformly.
-Grouping RunIndexed(std::span<const Point> points,
-                    const SgbAnyOptions& options, SgbAnyStats* stats) {
+/// multi-group merge uniformly. The paper's reference tier (kPointsIndex).
+Grouping RunPointsIndex(std::span<const Point> points,
+                        const SgbAnyOptions& options, SgbAnyStats* stats) {
   index::UnionFind forest(points.size());
   index::RTree points_ix;
   // Hoists ε² out of the per-neighbour L2 verification.
@@ -105,38 +105,37 @@ Grouping RunIndexed(std::span<const Point> points,
   return LabelComponents(points, forest);
 }
 
-/// Partition-parallel SGB-Any: the ε-neighbour graph's edges are found by a
-/// grid-partitioned scan (each worker unions within its own disjoint cell
-/// range; partition-seam pairs are merged sequentially afterwards), and the
-/// forest's components are labeled canonically by first appearance. Since
-/// SGB-Any is exactly "connected components of the ε-neighbour graph" — an
-/// order-insensitive result — this reproduces the serial grouping
-/// bit-for-bit at every degree of parallelism (docs/PARALLELISM.md).
-Grouping RunParallel(std::span<const Point> points,
-                     const SgbAnyOptions& options, SgbAnyStats* stats,
-                     size_t dop) {
-  index::UnionFind forest(points.size());
+/// SGB-Any over the clique-cell grid: the components of the ε-neighbour
+/// graph, labeled by first appearance. SGB-Any is exactly "connected
+/// components of the ε-neighbour graph", an order-insensitive result, so
+/// this reproduces the All-Pairs grouping bit-for-bit at every degree of
+/// parallelism (docs/PARALLELISM.md).
+Grouping RunGrid(std::span<const Point> points, const SgbAnyOptions& options,
+                 SgbAnyStats* stats, size_t dop) {
   std::vector<index::GridPartitionStats> grid_stats;
-  index::ParallelSimilarityUnion(points, options.metric, options.epsilon,
-                                 dop, ThreadPool::Default(), &forest,
-                                 &grid_stats, options.query_ctx);
-  if (stats != nullptr) {
-    size_t partitions = 0;
-    for (const index::GridPartitionStats& w : grid_stats) {
-      stats->distance_computations += w.distance_computations;
-      stats->union_operations += w.union_operations + w.boundary_edges;
-      if (w.cells > 0) ++partitions;
+  index::GridComponents components = index::SimilarityComponents(
+      points, options.metric, options.epsilon, dop, ThreadPool::Default(),
+      &grid_stats, options.query_ctx);
+  size_t partitions = 0;
+  for (const index::GridPartitionStats& w : grid_stats) {
+    stats->distance_computations += w.distance_computations;
+    stats->union_operations += w.union_operations + w.boundary_edges;
+    if (w.cells > 0) ++partitions;
+    if (dop > 1) {
       SgbWorkerStats worker;
       worker.points = w.points;
       worker.distance_computations = w.distance_computations;
       stats->workers.push_back(worker);
     }
-    stats->parallel_partitions = partitions;
-    // The boundary merge also performs unions; group_merges is the number
-    // of unions that actually reduced the component count.
-    stats->group_merges += points.size() - forest.NumSets();
   }
-  return LabelComponents(points, forest);
+  if (dop > 1) stats->parallel_partitions = partitions;
+  // A clique cell merges its points without a union call; group_merges is
+  // the number of merges the components imply.
+  stats->group_merges += points.size() - components.num_components;
+  Grouping result;
+  result.group_of = std::move(components.component_of);
+  result.num_groups = components.num_components;
+  return result;
 }
 
 }  // namespace
@@ -156,21 +155,23 @@ Result<Grouping> SgbAny(std::span<const Point> points,
   SgbAnyStats local;
   if (stats == nullptr) stats = &local;
   const size_t dop = ThreadPool::ResolveDop(options.degree_of_parallelism);
-  // ε = 0 degenerates the partition grid (zero-width cells); those inputs
-  // are cheap to group serially anyway.
+  // Below kMinParallelPoints the partitioning overhead dominates; the
+  // R-tree reference tier is always serial.
   const bool parallel = dop > 1 && points.size() >= kMinParallelPoints &&
-                        options.epsilon > 0.0;
+                        options.algorithm != SgbAnyAlgorithm::kPointsIndex;
   Result<Grouping> result = [&]() -> Result<Grouping> {
     try {
       // Bookkeeping charge: union-find forest + labeling, O(n) words.
       ScopedMemoryCharge bookkeeping(options.query_ctx,
                                      points.size() * sizeof(size_t) * 2);
-      if (parallel) return RunParallel(points, options, stats, dop);
       switch (options.algorithm) {
         case SgbAnyAlgorithm::kAllPairs:
-          return RunAllPairs(points, options, stats);
+          return parallel ? RunGrid(points, options, stats, dop)
+                          : RunAllPairs(points, options, stats);
         case SgbAnyAlgorithm::kIndexed:
-          return RunIndexed(points, options, stats);
+          return RunGrid(points, options, stats, parallel ? dop : 1);
+        case SgbAnyAlgorithm::kPointsIndex:
+          return RunPointsIndex(points, options, stats);
       }
       return Status::Internal("SGB-Any: unknown algorithm");
     } catch (const QueryAbort& abort) {

@@ -29,10 +29,15 @@ struct SgbAnyStats {
 /// order-insensitive and no overlap arbitration is needed: a point touching
 /// several groups merges them (Procedure 9, MergeGroupsInsert).
 ///
-/// `kIndexed` follows Procedure 8: an R-tree (Points_IX) over processed
-/// points answers the ε-window query, and a union-find forest tracks
-/// existing, new, and merged groups. `kAllPairs` evaluates all
-/// n-choose-2 similarity predicates.
+/// `kIndexed`, the engine's tier, finds the components on a sorted
+/// clique-cell grid (index::SimilarityComponents) at every dop.
+/// `kPointsIndex` follows Procedure 8: an R-tree (Points_IX) over
+/// processed points answers the ε-window query, and a union-find forest
+/// tracks existing, new, and merged groups; it is the paper's reference
+/// tier for Figures 9d/10d. `kAllPairs` evaluates all n-choose-2
+/// similarity predicates. `kIndexed` and `kAllPairs` agree bit for bit on
+/// every input, NaN and ±inf included; `kPointsIndex` agrees with them on
+/// finite coordinates whose squared distances do not underflow.
 ///
 /// Errors: InvalidArgument when ε is negative or not finite.
 Result<Grouping> SgbAny(std::span<const geom::Point> points,

@@ -31,6 +31,8 @@ const char* ToString(SgbAnyAlgorithm algorithm) {
     case SgbAnyAlgorithm::kAllPairs:
       return "All-Pairs";
     case SgbAnyAlgorithm::kIndexed:
+      return "clique-cell grid";
+    case SgbAnyAlgorithm::kPointsIndex:
       return "on-the-fly Index";
   }
   return "?";

@@ -31,8 +31,9 @@ enum class SgbAllAlgorithm {
 
 /// Algorithm tier for SGB-Any (Section 7).
 enum class SgbAnyAlgorithm {
-  kAllPairs,  ///< pairwise ε-edges, O(n^2)
-  kIndexed,   ///< Procedure 8: R-tree (Points_IX) + union-find
+  kAllPairs,     ///< pairwise ε-edges, O(n^2)
+  kIndexed,      ///< sorted clique-cell grid + union-find (every dop)
+  kPointsIndex,  ///< Procedure 8: R-tree (Points_IX) + union-find, serial
 };
 
 const char* ToString(OverlapClause clause);
@@ -98,10 +99,11 @@ struct SgbAnyOptions {
   double epsilon = 1.0;
   geom::Metric metric = geom::Metric::kL2;
   SgbAnyAlgorithm algorithm = SgbAnyAlgorithm::kIndexed;
-  /// Degree of parallelism: 1 runs the sequential reference path, k > 1
-  /// runs the grid-partitioned union with up to k workers, 0 means "auto"
-  /// (one worker per hardware thread). Results are identical for every
-  /// setting (docs/PARALLELISM.md).
+  /// Degree of parallelism: 1 runs on the calling thread, k > 1 splits the
+  /// clique-cell grid among up to k workers (All-Pairs runs the grid too),
+  /// 0 means "auto" (one worker per hardware thread). kPointsIndex is
+  /// always serial. Results are identical for every setting
+  /// (docs/PARALLELISM.md).
   int degree_of_parallelism = 1;
   /// Governance context (see SgbAllOptions::query_ctx).
   QueryContext* query_ctx = nullptr;

@@ -75,7 +75,7 @@ void FillSgbInfo(const sql::SelectStatement& stmt,
       *tier = "sgb-1d";
       break;
   }
-  *dop = stmt.similarity.dop.value_or(options.default_sgb_dop);
+  *dop = stmt.similarity.dop.value_or(options.default_sgb_dop.value_or(1));
 }
 
 /// The parsed non-SELECT statement kinds Query() executes directly.

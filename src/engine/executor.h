@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,13 +132,16 @@ class Database {
                                 obs::QueryTrace* trace = nullptr) const;
 
   /// Session default degree of parallelism for SGB operators (1 = serial,
-  /// k > 1 = up to k workers, 0 = auto). Applies to queries without an
-  /// explicit PARALLEL clause; grouping results are identical at every
-  /// setting (docs/PARALLELISM.md).
-  void set_default_sgb_dop(int dop) {
+  /// k > 1 = up to k workers, 0 = auto; unset = serial unless the planner
+  /// picks auto for a large input). Applies to queries without an explicit
+  /// PARALLEL clause; grouping results are identical at every setting
+  /// (docs/PARALLELISM.md).
+  void set_default_sgb_dop(std::optional<int> dop) {
     default_session_->set_default_sgb_dop(dop);
   }
-  int default_sgb_dop() const { return default_session_->default_sgb_dop(); }
+  std::optional<int> default_sgb_dop() const {
+    return default_session_->default_sgb_dop();
+  }
 
   // ---- Governance (docs/ROBUSTNESS.md) ----------------------------------
   //

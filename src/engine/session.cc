@@ -121,12 +121,12 @@ int64_t Session::slow_query_micros() const {
   std::lock_guard<std::mutex> lock(mu_);
   return governance_.slow_query_micros;
 }
-void Session::set_default_sgb_dop(int dop) {
+void Session::set_default_sgb_dop(std::optional<int> dop) {
   std::lock_guard<std::mutex> lock(mu_);
   planner_options_.default_sgb_dop = dop;
   InvalidateCachedPlansLocked();
 }
-int Session::default_sgb_dop() const {
+std::optional<int> Session::default_sgb_dop() const {
   std::lock_guard<std::mutex> lock(mu_);
   return planner_options_.default_sgb_dop;
 }

@@ -126,8 +126,8 @@ class Session {
   bool trace_enabled() const;
   void set_slow_query_micros(int64_t micros);
   int64_t slow_query_micros() const;
-  void set_default_sgb_dop(int dop);
-  int default_sgb_dop() const;
+  void set_default_sgb_dop(std::optional<int> dop);
+  std::optional<int> default_sgb_dop() const;
   void set_sgb_tier(sql::TierPolicy policy);
   sql::TierPolicy sgb_tier() const;
   void set_agg_strategy(sql::AggStrategy strategy);

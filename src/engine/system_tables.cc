@@ -311,7 +311,9 @@ void RegisterSystemTables(Catalog* catalog,
                   Value::Int(static_cast<int64_t>(s.memory_budget_bytes())),
                   Value::Int(s.spill_enabled() ? 1 : 0),
                   Value::Int(s.trace_enabled() ? 1 : 0),
-                  Value::Int(s.default_sgb_dop()),
+                  s.default_sgb_dop().has_value()
+                      ? Value::Int(*s.default_sgb_dop())
+                      : Value::Null(),
                   Value::Str(AdmissionModeName(s.admission_mode()))});
         });
         SGB_RETURN_IF_ERROR(status);

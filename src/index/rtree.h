@@ -18,8 +18,9 @@ namespace sgb::index {
 ///    in a Groups_IX R-tree and answers FindCloseGroups with one window
 ///    query. Group rectangles change as members join/leave, so the tree
 ///    supports Remove + re-Insert.
-///  * SGB-Any keeps every processed point in a Points_IX R-tree (points are
-///    degenerate rectangles) and finds ε-neighbours with a window query.
+///  * SGB-Any's reference tier (kPointsIndex) and the streaming SGB-Any
+///    keep every processed point in a Points_IX R-tree (points are
+///    degenerate rectangles) and find ε-neighbours with a window query.
 ///
 /// Implementation notes: quadratic-split on overflow, condense-tree with
 /// orphan reinsertion on underflow, least-enlargement subtree choice.

@@ -13,7 +13,7 @@ namespace sgb::index {
 /// newly created, and merged groups: amortized near-constant per operation.
 ///
 /// Thread safety: not generally thread-safe, but designed for the
-/// partition-parallel pattern of index::ParallelSimilarityUnion — concurrent
+/// partition-parallel pattern of index::SimilarityComponents — concurrent
 /// Find/Union calls are safe as long as every element index each thread
 /// touches belongs to a disjoint index region (the set count is the only
 /// member shared across regions, and it is atomic).

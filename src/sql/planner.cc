@@ -873,7 +873,7 @@ class PlannerImpl {
           return Status::BindError("WITHIN threshold must be >= 0");
         }
         // The query's PARALLEL clause wins over the session default.
-        int dop = sim.dop.value_or(options_.default_sgb_dop);
+        int dop = sim.dop.value_or(options_.default_sgb_dop.value_or(1));
         if (dop < 0) {
           return Status::BindError(
               "PARALLEL degree must be >= 0 (0 = auto)");
@@ -963,7 +963,9 @@ class PlannerImpl {
         // (SET parallel) pinned a degree; results are identical at any
         // dop, so this is purely a throughput decision.
         bool auto_dop = false;
-        if (!sim.dop.has_value() && options_.default_sgb_dop == 1 &&
+        const bool session_pinned =
+            !sim.dop.has_value() && options_.default_sgb_dop.has_value();
+        if (!sim.dop.has_value() && !options_.default_sgb_dop.has_value() &&
             work > kParallelWorkThreshold) {
           dop = 0;  // one worker per hardware thread
           auto_dop = true;
@@ -1010,7 +1012,9 @@ class PlannerImpl {
           Annotate(op.get(), std::max(1.0, groups),
                    std::max(0.0, in_bytes) + n * 96.0,
                    std::string("tier=") + tier_word +
-                       (auto_dop ? " dop=auto" : "") +
+                       (auto_dop ? std::string(" dop=auto")
+                        : session_pinned ? " dop=" + std::to_string(dop)
+                                         : std::string()) +
                        " est_pairs=" + FormatApprox(std::max(0.0, pairs)));
         } else {
           Annotate(op.get(), -1.0, -1.0, std::string("tier=") + tier_word);

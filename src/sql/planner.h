@@ -1,6 +1,8 @@
 #ifndef SGB_SQL_PLANNER_H_
 #define SGB_SQL_PLANNER_H_
 
+#include <optional>
+
 #include "common/status.h"
 #include "engine/catalog.h"
 #include "engine/operators.h"
@@ -43,12 +45,13 @@ enum class AggStrategy {
 /// Session-level planning knobs.
 struct PlannerOptions {
   /// Degree of parallelism given to SGB operators when the query carries no
-  /// PARALLEL clause: 1 = serial (default), k > 1 = up to k workers,
-  /// 0 = auto (one worker per hardware thread). A PARALLEL clause on the
-  /// query always wins; with neither, the cost model may raise the dop for
-  /// predictably large similarity workloads. Results are identical at every
-  /// setting (docs/PARALLELISM.md).
-  int default_sgb_dop = 1;
+  /// PARALLEL clause, set only by `SET parallel`: 1 = serial, k > 1 = up to
+  /// k workers, 0 = auto (one worker per hardware thread). A PARALLEL
+  /// clause on the query always wins; with neither (unset here), the plan
+  /// is serial unless the cost model raises the dop for a predictably large
+  /// similarity workload. Results are identical at every setting
+  /// (docs/PARALLELISM.md).
+  std::optional<int> default_sgb_dop;
   TierPolicy sgb_tier = TierPolicy::kAuto;
   AggStrategy agg_strategy = AggStrategy::kAuto;
   /// Memory headroom the hash-vs-sort regime rules compare hash-table

@@ -77,13 +77,32 @@ TEST(SgbAnyTest, StatsCountMergesAndQueries) {
                                   {7.5, 7.5}};
   SgbAnyOptions options;
   options.epsilon = 3.6;  // L2: adjacent diagonal points are ~3.54 apart
-  options.algorithm = SgbAnyAlgorithm::kIndexed;
+  options.algorithm = SgbAnyAlgorithm::kPointsIndex;
   SgbAnyStats stats;
   const auto result = SgbAny(pts, options, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().num_groups, 1u);
   EXPECT_EQ(stats.index_window_queries, pts.size());
   EXPECT_GE(stats.group_merges, 4u);  // n-1 merges to connect 5 points
+}
+
+TEST(SgbAnyTest, GridStatsCountMergesWithoutWindowQueries) {
+  const std::vector<Point> pts = {{0, 0}, {10, 10}, {5, 5}, {2.5, 2.5},
+                                  {7.5, 7.5}};
+  SgbAnyOptions options;
+  options.epsilon = 3.6;
+  options.algorithm = SgbAnyAlgorithm::kIndexed;
+  SgbAnyStats stats;
+  const auto result = SgbAny(pts, options, &stats);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().num_groups, 1u);
+  EXPECT_EQ(stats.index_window_queries, 0u);
+  EXPECT_EQ(stats.group_merges, 4u);  // n-1 merges to connect 5 points
+  // Cells are 3.6/√2 ≈ 2.55 wide: (0, 0) and (2.5, 2.5) share a clique
+  // cell and merge without a union call; the other three links are
+  // cell-pair unions found by the kernels.
+  EXPECT_EQ(stats.union_operations, 3u);
+  EXPECT_GT(stats.distance_computations, 0u);
 }
 
 TEST(SgbAnyTest, GroupIdsAreDenseAndInputOrdered) {

@@ -123,7 +123,8 @@ TEST_P(OrderIndependenceTest, SgbAnyPartitionIsPermutationInvariant) {
   Rng rng(seed ^ 0x9E3779B97F4A7C15ULL);
   for (const Metric metric : {Metric::kL2, Metric::kLInf}) {
     for (const SgbAnyAlgorithm algorithm :
-         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed,
+        SgbAnyAlgorithm::kPointsIndex}) {
       SgbAnyOptions options;
       options.epsilon = 0.45;
       options.metric = metric;

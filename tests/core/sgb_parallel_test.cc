@@ -215,15 +215,15 @@ TEST(GridPartitionTest, UnionMatchesBruteForceComponents) {
       }
     }
 
-    index::UnionFind forest(points.size());
     std::vector<index::GridPartitionStats> stats;
-    index::ParallelSimilarityUnion(points, Metric::kL2, radius, 4,
-                                   ThreadPool::Default(), &forest, &stats);
+    const index::GridComponents components = index::SimilarityComponents(
+        points, Metric::kL2, radius, 4, ThreadPool::Default(), &stats);
 
-    EXPECT_EQ(forest.NumSets(), brute.NumSets());
+    EXPECT_EQ(components.num_components, brute.NumSets());
     for (size_t i = 0; i < points.size(); ++i) {
       for (size_t j = 0; j < i; ++j) {
-        EXPECT_EQ(forest.Connected(i, j), brute.Connected(i, j))
+        EXPECT_EQ(components.component_of[i] == components.component_of[j],
+                  brute.Connected(i, j))
             << "pair (" << i << ", " << j << ")";
       }
     }

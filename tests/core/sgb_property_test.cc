@@ -175,7 +175,8 @@ TEST_P(SgbAnyPropertyTest, MatchesConnectedComponents) {
   options.metric = metric;
   options.epsilon = epsilon;
   for (const auto algorithm :
-       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed,
+        SgbAnyAlgorithm::kPointsIndex}) {
     options.algorithm = algorithm;
     auto result = SgbAny(pts, options);
     ASSERT_TRUE(result.ok());

@@ -97,7 +97,8 @@ TEST(Figure2AnyTest, MergeAnswersFive) {
   options.epsilon = 3;
   options.metric = Metric::kLInf;
   for (const auto algorithm :
-       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed,
+        SgbAnyAlgorithm::kPointsIndex}) {
     options.algorithm = algorithm;
     const auto result = SgbAny(Figure2Points(), options);
     ASSERT_TRUE(result.ok());

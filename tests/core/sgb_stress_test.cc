@@ -75,9 +75,13 @@ TEST_P(SeedSweepTest, AnyTiersAgreeOnDenseHotspots) {
     auto naive = SgbAny(pts, options);
     options.algorithm = SgbAnyAlgorithm::kIndexed;
     auto indexed = SgbAny(pts, options);
+    options.algorithm = SgbAnyAlgorithm::kPointsIndex;
+    auto points_index = SgbAny(pts, options);
     ASSERT_TRUE(naive.ok());
     ASSERT_TRUE(indexed.ok());
+    ASSERT_TRUE(points_index.ok());
     EXPECT_EQ(naive.value().group_of, indexed.value().group_of);
+    EXPECT_EQ(naive.value().group_of, points_index.value().group_of);
   }
 }
 

@@ -91,10 +91,12 @@ TEST(AdmissionTest, QueuePreservesAllConcurrentResults) {
   // The query has to hold its admission slot long enough for the other
   // threads to reach the gate: a heavy SGB grouping runs for tens of
   // milliseconds while thread startup is microseconds, so with ~1.5 slots
-  // for 8 threads the late arrivals reliably find the ledger full.
+  // for 8 threads the late arrivals reliably find the ledger full. SGB-All
+  // (~10 ms here) rather than SGB-Any, whose grid groups these 4000 points
+  // in about a millisecond.
   static constexpr char kHeavyQuery[] =
       "SELECT count(*) FROM pts GROUP BY x, y "
-      "DISTANCE-TO-ANY L2 WITHIN 0.4";
+      "DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP JOIN-ANY";
   Database db = PointsDb(4000);
   auto reference = db.Query(kHeavyQuery);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();

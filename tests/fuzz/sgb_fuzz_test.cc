@@ -155,10 +155,11 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
                  " n=" + std::to_string(n));
 
     if (config.kind == PointKind::kNonFinite) {
-      // NaN breaks the metric axioms, so the tiers may legitimately
-      // disagree; the contract is weaker — never crash, always produce a
-      // well-formed grouping. Serial tiers only: the parallel grid
-      // partitioner requires finite coordinates (docs/ROBUSTNESS.md).
+      // NaN breaks the metric axioms, so the SGB-All tiers and the R-tree
+      // SGB-Any tier may legitimately disagree; their contract is weaker —
+      // never crash, always produce a well-formed grouping (serial only).
+      // The grid follows the kernel's own NaN/±inf semantics, so SGB-Any's
+      // grid runs must still equal the All-Pairs oracle exactly.
       ++non_finite_cases;
       for (const SgbAllAlgorithm algorithm :
            {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
@@ -167,12 +168,27 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         ExpectValidShape(result.value(), n, config);
       }
-      for (const SgbAnyAlgorithm algorithm :
-           {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
-        auto result = SgbAny(pts, AnyOptions(config, algorithm, 1));
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        ExpectValidShape(result.value(), n, config);
+      auto points_index =
+          SgbAny(pts, AnyOptions(config, SgbAnyAlgorithm::kPointsIndex, 1));
+      ASSERT_TRUE(points_index.ok()) << points_index.status().ToString();
+      ExpectValidShape(points_index.value(), n, config);
+
+      auto any_oracle = SgbAny(pts, AnyOptions(
+          config, SgbAnyAlgorithm::kAllPairs, 1));
+      ASSERT_TRUE(any_oracle.ok()) << any_oracle.status().ToString();
+      ExpectValidShape(any_oracle.value(), n, config);
+      bool ok = true;
+      for (const int dop : {1, 2, 4, 7}) {
+        const std::string variant = "SgbAny/grid/dop" + std::to_string(dop);
+        ok &= CheckAnyAgainstOracle(
+            pts, config, any_oracle.value(),
+            [&config, dop](const std::vector<Point>& input) {
+              return SgbAny(input,
+                            AnyOptions(config, SgbAnyAlgorithm::kIndexed, dop));
+            },
+            variant.c_str());
       }
+      if (!ok) break;  // one minimized repro is enough
       continue;
     }
 
@@ -210,7 +226,8 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
     ASSERT_TRUE(any_oracle.ok()) << any_oracle.status().ToString();
     ExpectValidShape(any_oracle.value(), n, config);
     for (const SgbAnyAlgorithm algorithm :
-         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
+         {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed,
+          SgbAnyAlgorithm::kPointsIndex}) {
       for (const int dop : {1, 4}) {
         if (algorithm == SgbAnyAlgorithm::kAllPairs && dop == 1) continue;
         const std::string variant =

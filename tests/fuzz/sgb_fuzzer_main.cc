@@ -17,7 +17,8 @@
 //
 // Raw doubles mean mutations naturally produce NaN and infinities; those
 // inputs drop to the weaker contract (never crash, well-formed grouping,
-// serial tiers only) that the engine guarantees for non-finite coordinates.
+// serial tiers only) that the engine guarantees for non-finite coordinates,
+// except for SGB-Any's grid, which must match All-Pairs on every input.
 //
 // Build with -DSGB_ENABLE_LIBFUZZER=ON (requires Clang). Under other
 // toolchains the same file compiles into a standalone replay driver that
@@ -142,12 +143,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     finite &= std::isfinite(p.x) && std::isfinite(p.y);
   }
 
-  // Non-finite coordinates break the metric axioms, so the tiers may
-  // legitimately disagree; the contract narrows to crash-freedom and a
-  // well-formed grouping, on the serial tiers only (the parallel grid
-  // partitioner requires finite input).
+  // Non-finite coordinates break the metric axioms, so the SGB-All tiers
+  // and the R-tree SGB-Any tier may legitimately disagree; their contract
+  // narrows to crash-freedom and a well-formed grouping, serial only. The
+  // SGB-Any grid follows the kernel's NaN/±inf semantics and stays exact.
   const std::vector<int> dops = (parallel && finite) ? std::vector<int>{1, 4}
                                                      : std::vector<int>{1};
+  const std::vector<int> any_dops =
+      parallel ? std::vector<int>{1, 4} : std::vector<int>{1};
 
   auto all_oracle = SgbAll(pts, AllOptions(config, SgbAllAlgorithm::kAllPairs,
                                            1));
@@ -183,14 +186,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     Fail(config, pts, "SgbAny/AllPairs/dop1", "malformed grouping");
   }
   for (const SgbAnyAlgorithm algorithm :
-       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed}) {
-    for (const int dop : dops) {
+       {SgbAnyAlgorithm::kAllPairs, SgbAnyAlgorithm::kIndexed,
+        SgbAnyAlgorithm::kPointsIndex}) {
+    for (const int dop : any_dops) {
       if (algorithm == SgbAnyAlgorithm::kAllPairs && dop == 1) continue;
       const std::string variant = std::string("SgbAny/") +
                                   ToString(algorithm) + "/dop" +
                                   std::to_string(dop);
       CheckTier(
-          config, pts, any_ref,
+          config, pts,
+          algorithm == SgbAnyAlgorithm::kPointsIndex ? any_ref
+                                                     : &any_oracle.value(),
           [&] { return SgbAny(pts, AnyOptions(config, algorithm, dop)); },
           variant.c_str());
     }

@@ -202,8 +202,10 @@ TEST(HammerTest, ZeroDivergenceAgainstSingleSessionReplay) {
 }
 
 TEST(HammerTest, DroppedConnectionCancelsOnlyItsOwnQuery) {
-  // Large enough that the SGB query runs for hundreds of milliseconds —
-  // the same sizing the engine-level cancellation test relies on.
+  // Large enough that the SGB query runs for well over a hundred
+  // milliseconds, so the watchdog sees the dropped connection mid-query.
+  // SGB-All (~150 ms here) rather than SGB-Any, whose grid groups these
+  // points in about 15 ms.
   engine::Database db = PointsDb(60000, 40.0);
   ServerOptions options;
   options.tcp = true;
@@ -212,7 +214,7 @@ TEST(HammerTest, DroppedConnectionCancelsOnlyItsOwnQuery) {
 
   const std::string kSlowQuery =
       "SELECT count(*) FROM pts GROUP BY x, y "
-      "DISTANCE-TO-ANY L2 WITHIN 0.4";
+      "DISTANCE-TO-ALL L2 WITHIN 0.4 ON-OVERLAP JOIN-ANY";
 
   auto victim = Client::ConnectLoopback(server.tcp_port());
   ASSERT_TRUE(victim.ok());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "engine/executor.h"
@@ -101,7 +102,7 @@ TEST_F(ExplainTest, SessionDefaultDopAppliesWithoutParallelClause) {
       "GROUP BY c_acctbal, c_custkey DISTANCE-TO-ANY L2 WITHIN 0.5 "
       "PARALLEL 1");
   EXPECT_EQ(override_plan.find("dop="), std::string::npos) << override_plan;
-  db_.set_default_sgb_dop(1);
+  db_.set_default_sgb_dop(std::nullopt);
 }
 
 TEST_F(ExplainTest, CrossJoinFallsBackToNestedLoop) {

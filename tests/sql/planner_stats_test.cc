@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,37 @@ TEST(CostModelTest, AutoTierMatchesEveryForcedTierBitForBit) {
 }
 
 // ---- Group-by strategy --------------------------------------------------
+
+TEST(CostModelTest, SetParallelOnePinsSerialOverAutoDop) {
+  // 4000 points in a 1x1 square with ε = 2: every pair is ε-close, so the
+  // predicted work (~1.6 per refined pair) is far above the auto-dop
+  // threshold and an unpinned session goes parallel.
+  Database db = UniformPointsDb(4000, /*extent=*/1.0);
+  ASSERT_TRUE(db.Query("ANALYZE pts").ok());
+  const std::string q =
+      "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 2 "
+      "ON-OVERLAP ELIMINATE";
+  EXPECT_FALSE(db.default_sgb_dop().has_value());
+  const std::string unpinned = db.Explain(q).value();
+  EXPECT_NE(unpinned.find("dop=auto"), std::string::npos) << unpinned;
+
+  ASSERT_TRUE(db.Query("SET parallel = 1").ok());
+  EXPECT_EQ(db.default_sgb_dop(), std::optional<int>(1));
+  const std::string pinned = db.Explain(q).value();
+  EXPECT_NE(pinned.find("dop=1"), std::string::npos) << pinned;
+  EXPECT_EQ(pinned.find("dop=auto"), std::string::npos) << pinned;
+
+  // system.sessions shows the pin; a fresh session shows NULL.
+  auto sessions = db.Query("SELECT parallel FROM system.sessions");
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  ASSERT_EQ(sessions.value().NumRows(), 1u);
+  EXPECT_EQ(sessions.value().rows()[0][0].AsInt(), 1);
+  Database fresh = UniformPointsDb(10);
+  auto fresh_sessions = fresh.Query("SELECT parallel FROM system.sessions");
+  ASSERT_TRUE(fresh_sessions.ok()) << fresh_sessions.status().ToString();
+  ASSERT_EQ(fresh_sessions.value().NumRows(), 1u);
+  EXPECT_TRUE(fresh_sessions.value().rows()[0][0].is_null());
+}
 
 TEST(CostModelTest, SortStrategyMatchesHashAndAutoPicksByDensity) {
   Database db;
