@@ -1,6 +1,5 @@
 #include "engine/append_table.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -103,65 +102,13 @@ Status AppendOnlyTable::Append(std::vector<Row> rows) {
   return Status::OK();
 }
 
-Table AppendOnlyTable::MaterializeSnapshot() const {
-  const size_t n = SnapshotRows();
-  Table table(schema_);
-  table.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Arity was validated on append; Append cannot fail here.
-    (void)table.Append(row(i));
-  }
-  return table;
-}
-
-namespace {
-
-/// Volcano scan over one pinned snapshot of an AppendOnlyTable.
-class AppendScanOp final : public Operator {
- public:
-  AppendScanOp(std::shared_ptr<const AppendOnlyTable> table,
-               const std::string& qualifier)
-      : table_(std::move(table)),
-        schema_(qualifier.empty()
-                    ? table_->schema()
-                    : table_->schema().WithQualifier(qualifier)) {}
-
-  const Schema& schema() const override { return schema_; }
-  std::string name() const override { return "TableScan"; }
-  std::string label() const override {
-    return schema_.size() > 0 && !schema_.column(0).qualifier.empty()
-               ? "TableScan " + schema_.column(0).qualifier + " (snapshot)"
-               : std::string("TableScan (snapshot)");
-  }
-  size_t EstimateFootprintBytes() const override {
-    return table_->SnapshotRows() *
-           (sizeof(Row) + schema_.size() * sizeof(Value));
-  }
-
-  void OpenImpl() override {
-    // The snapshot pin: everything below `pinned_` is immutable, so the
-    // scan needs no further coordination with writers.
-    pinned_ = table_->SnapshotRows();
-    next_ = 0;
-  }
-  bool NextBatchImpl(RowBatch* out) override {
-    const size_t end = std::min(pinned_, next_ + out->capacity());
-    for (; next_ < end; ++next_) out->Append(table_->row(next_));
-    return !out->empty();
-  }
-
- private:
-  std::shared_ptr<const AppendOnlyTable> table_;
-  Schema schema_;
-  size_t pinned_ = 0;
-  size_t next_ = 0;
-};
-
-}  // namespace
-
-OperatorPtr MakeAppendScan(std::shared_ptr<const AppendOnlyTable> table,
-                           const std::string& qualifier) {
-  return std::make_unique<AppendScanOp>(std::move(table), qualifier);
+Result<TableCursorPtr> AppendOnlyTable::Pin() const {
+  // Acquire pairs with Append's release store: every row (and chunk slot)
+  // below the loaded size is in place.
+  return MakeIndexedCursor(
+      size_.load(std::memory_order_acquire), [this](size_t i) -> const Row& {
+        return chunks_[i / kChunkRows][i % kChunkRows];
+      });
 }
 
 }  // namespace sgb::engine

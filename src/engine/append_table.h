@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/operators.h"
 #include "engine/schema.h"
 #include "engine/table.h"
+#include "engine/table_source.h"
 
 namespace sgb::engine {
 
@@ -36,41 +36,27 @@ Status CoerceRowsToSchema(const Schema& schema, std::vector<Row>* rows);
 /// Capacity is bounded at kMaxChunks * kChunkRows rows (the chunk directory
 /// is preallocated so it never reallocates under readers); appends beyond
 /// that fail with ResourceExhausted.
-class AppendOnlyTable {
+class AppendOnlyTable final : public TableSource {
  public:
   static constexpr size_t kChunkRows = 1024;
   static constexpr size_t kMaxChunks = 8192;  ///< ~8.4M row capacity
 
   explicit AppendOnlyTable(Schema schema);
 
-  const Schema& schema() const { return schema_; }
-
-  /// The published row count: every row below it is immutable and safe to
-  /// read from any thread.
-  size_t SnapshotRows() const {
-    return size_.load(std::memory_order_acquire);
+  const Schema& schema() const override { return schema_; }
+  TableKind kind() const override { return TableKind::kAppendable; }
+  size_t bytes() const override {
+    return bytes_.load(std::memory_order_relaxed);
   }
-
-  /// Row `i`; the caller must have observed SnapshotRows() > i.
-  const Row& row(size_t i) const {
-    return chunks_[i / kChunkRows][i % kChunkRows];
-  }
+  /// Pins the published row count: every row below it is immutable, and
+  /// rows appended later stay invisible to the pin.
+  Result<TableCursorPtr> Pin() const override;
 
   /// Appends `rows` as one atomic statement: concurrent snapshots see
   /// either none or all of them. Arity must match the schema; values are
   /// coerced to the column types (int <-> double; NULL always admitted).
   /// Fault site: `engine.append.insert` (once per call).
   Status Append(std::vector<Row> rows);
-
-  /// Approximate resident bytes (for system.tables / admission estimates).
-  size_t ApproxBytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-
-  /// Copies the snapshot into a plain immutable Table (Catalog::Get uses
-  /// this so non-scan consumers — CSV export, subquery folding — see
-  /// append-only tables like any other).
-  Table MaterializeSnapshot() const;
 
  private:
   Schema schema_;
@@ -84,14 +70,6 @@ class AppendOnlyTable {
 };
 
 using AppendTablePtr = std::shared_ptr<AppendOnlyTable>;
-
-/// Snapshot scan: pins the table's published row count at Open() and emits
-/// exactly those rows, so a scan is repeatable within one execution and
-/// never observes concurrent appends mid-flight. Reports name()
-/// "TableScan" like the immutable-table scan so rows_in accounting and
-/// EXPLAIN output stay uniform.
-OperatorPtr MakeAppendScan(std::shared_ptr<const AppendOnlyTable> table,
-                           const std::string& qualifier = "");
 
 }  // namespace sgb::engine
 

@@ -19,41 +19,83 @@ std::string Lower(const std::string& s) {
 
 }  // namespace
 
-void Catalog::Register(const std::string& name, TablePtr table) {
+/// Each pin invokes the provider (outside the catalog lock: providers
+/// re-enter the catalog) and reads the snapshot it returns.
+class Catalog::VirtualTable final : public TableSource {
+ public:
+  VirtualTable(Schema schema, TableProviderFn provider, const Rep& rep)
+      : schema_(std::move(schema)), provider_(std::move(provider)), rep_(rep) {}
+
+  const Schema& schema() const override { return schema_; }
+  TableKind kind() const override { return TableKind::kSystem; }
+  size_t bytes() const override { return 0; }
+  Result<TableCursorPtr> Pin() const override {
+    auto snapshot = std::make_shared<Table>(schema_);
+    SGB_RETURN_IF_ERROR(provider_(*rep_.owner, snapshot.get()));
+    const size_t rows = snapshot->NumRows();
+    return MakeIndexedCursor(
+        rows, [table = std::move(snapshot)](size_t i) -> const Row& {
+          return table->rows()[i];
+        });
+  }
+
+ private:
+  Schema schema_;
+  TableProviderFn provider_;
+  const Rep& rep_;
+};
+
+Status Catalog::Register(const std::string& name, TablePtr table) {
   {
     std::unique_lock<std::shared_mutex> lock(rep_->mu);
     const std::string key = Lower(name);
-    rep_->tables[key] = std::move(table);
-    rep_->appendables.erase(key);
+    const auto it = rep_->entries.find(key);
+    if (it != rep_->entries.end() &&
+        (it->second->kind() == TableKind::kSystem ||
+         it->second->kind() == TableKind::kPaged)) {
+      return Status::InvalidArgument(
+          "cannot replace " + std::string(TableKindName(it->second->kind())) +
+          " table '" + name + "'");
+    }
+    rep_->entries[key] = std::move(table);
     rep_->stats.erase(key);  // replacing a table invalidates its statistics
   }
   BumpVersion();
+  return Status::OK();
 }
 
-void Catalog::RegisterProvider(const std::string& name,
+void Catalog::RegisterProvider(const std::string& name, Schema schema,
                                TableProviderFn provider) {
   {
     std::unique_lock<std::shared_mutex> lock(rep_->mu);
-    rep_->providers[Lower(name)] = std::move(provider);
+    rep_->entries[Lower(name)] = std::make_shared<VirtualTable>(
+        std::move(schema), std::move(provider), *rep_);
   }
   BumpVersion();
 }
 
 Status Catalog::CreateAppendable(const std::string& name, Schema schema,
                                  bool if_not_exists) const {
-  const std::string key = Lower(name);
   {
     std::unique_lock<std::shared_mutex> lock(rep_->mu);
-    const bool exists = rep_->tables.count(key) > 0 ||
-                        rep_->appendables.count(key) > 0 ||
-                        rep_->paged.count(key) > 0 ||
-                        rep_->providers.count(key) > 0;
-    if (exists) {
+    const auto [it, inserted] = rep_->entries.try_emplace(Lower(name));
+    if (!inserted) {
       if (if_not_exists) return Status::OK();
       return Status::InvalidArgument("table '" + name + "' already exists");
     }
-    rep_->appendables[key] = std::make_shared<AppendOnlyTable>(
-        std::move(schema));
+    it->second = std::make_shared<AppendOnlyTable>(std::move(schema));
+  }
+  BumpVersion();
+  return Status::OK();
+}
+
+Status Catalog::RegisterSource(
+    const std::string& name, std::shared_ptr<const TableSource> source) const {
+  {
+    std::unique_lock<std::shared_mutex> lock(rep_->mu);
+    if (!rep_->entries.try_emplace(Lower(name), std::move(source)).second) {
+      return Status::InvalidArgument("table '" + name + "' already exists");
+    }
   }
   BumpVersion();
   return Status::OK();
@@ -63,116 +105,46 @@ Status Catalog::Drop(const std::string& name, bool if_exists) const {
   const std::string key = Lower(name);
   {
     std::unique_lock<std::shared_mutex> lock(rep_->mu);
-    if (rep_->providers.count(key) > 0) {
-      return Status::InvalidArgument("cannot drop system table '" + name +
-                                     "'");
-    }
-    if (rep_->tables.erase(key) == 0 && rep_->appendables.erase(key) == 0 &&
-        rep_->paged.erase(key) == 0) {
+    const auto it = rep_->entries.find(key);
+    if (it == rep_->entries.end()) {
       if (if_exists) return Status::OK();
       return Status::NotFound("no table named '" + name + "'");
     }
+    if (it->second->kind() == TableKind::kSystem) {
+      return Status::InvalidArgument("cannot drop system table '" + name +
+                                     "'");
+    }
+    rep_->entries.erase(it);
     rep_->stats.erase(key);
   }
   BumpVersion();
   return Status::OK();
 }
 
-Result<TablePtr> Catalog::Get(const std::string& name) const {
-  const std::string key = Lower(name);
-  TableProviderFn provider;
-  {
-    std::shared_lock<std::shared_mutex> lock(rep_->mu);
-    const auto it = rep_->tables.find(key);
-    if (it != rep_->tables.end()) return it->second;
-    const auto ait = rep_->appendables.find(key);
-    if (ait != rep_->appendables.end()) {
-      return TablePtr(
-          std::make_shared<Table>(ait->second->MaterializeSnapshot()));
-    }
-    const auto git = rep_->paged.find(key);
-    if (git != rep_->paged.end()) {
-      auto snapshot = git->second->MaterializeSnapshot();
-      if (!snapshot.ok()) return snapshot.status();
-      return TablePtr(
-          std::make_shared<Table>(std::move(snapshot).value()));
-    }
-    const auto pit = rep_->providers.find(key);
-    if (pit == rep_->providers.end()) {
-      return Status::NotFound("no table named '" + name + "'");
-    }
-    // Invoke outside the lock: providers (system.tables) re-enter the
-    // catalog, and shared_mutex is not reentrant.
-    provider = pit->second;
+Result<TableSourcePtr> Catalog::Find(const std::string& name) const {
+  std::shared_lock<std::shared_mutex> lock(rep_->mu);
+  const auto it = rep_->entries.find(Lower(name));
+  if (it == rep_->entries.end()) {
+    return Status::NotFound("no table named '" + name + "'");
   }
-  return provider(*this);
+  return it->second;
 }
 
 AppendTablePtr Catalog::FindAppendable(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  const auto it = rep_->appendables.find(Lower(name));
-  return it == rep_->appendables.end() ? nullptr : it->second;
-}
-
-Status Catalog::RegisterPaged(const std::string& name,
-                              storage::PagedTablePtr table) const {
-  const std::string key = Lower(name);
-  {
-    std::unique_lock<std::shared_mutex> lock(rep_->mu);
-    const bool conflict = rep_->tables.count(key) > 0 ||
-                          rep_->appendables.count(key) > 0 ||
-                          rep_->providers.count(key) > 0;
-    if (conflict) {
-      return Status::InvalidArgument("table '" + name + "' already exists");
-    }
-    rep_->paged[key] = std::move(table);
-  }
-  BumpVersion();
-  return Status::OK();
-}
-
-storage::PagedTablePtr Catalog::FindPaged(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  const auto it = rep_->paged.find(Lower(name));
-  return it == rep_->paged.end() ? nullptr : it->second;
-}
-
-bool Catalog::IsPaged(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  return rep_->paged.count(Lower(name)) > 0;
-}
-
-bool Catalog::Contains(const std::string& name) const {
-  const std::string key = Lower(name);
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  return rep_->tables.count(key) > 0 || rep_->appendables.count(key) > 0 ||
-         rep_->paged.count(key) > 0 || rep_->providers.count(key) > 0;
+  const auto it = rep_->entries.find(Lower(name));
+  if (it == rep_->entries.end()) return nullptr;
+  // The catalog created every append-only entry mutable (CreateAppendable).
+  return std::const_pointer_cast<AppendOnlyTable>(
+      std::dynamic_pointer_cast<const AppendOnlyTable>(it->second));
 }
 
 std::vector<std::string> Catalog::TableNames() const {
   std::shared_lock<std::shared_mutex> lock(rep_->mu);
   std::vector<std::string> names;
-  names.reserve(rep_->tables.size() + rep_->appendables.size() +
-                rep_->paged.size() + rep_->providers.size());
-  for (const auto& [name, table] : rep_->tables) names.push_back(name);
-  for (const auto& [name, table] : rep_->appendables) names.push_back(name);
-  for (const auto& [name, table] : rep_->paged) names.push_back(name);
-  for (const auto& [name, provider] : rep_->providers) names.push_back(name);
-  std::sort(names.begin(), names.end());
+  names.reserve(rep_->entries.size());
+  for (const auto& [name, entry] : rep_->entries) names.push_back(name);
   return names;
-}
-
-std::vector<std::string> Catalog::StoredTableNames() const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  std::vector<std::string> names;
-  names.reserve(rep_->tables.size());
-  for (const auto& [name, table] : rep_->tables) names.push_back(name);
-  return names;
-}
-
-bool Catalog::IsVirtual(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  return rep_->providers.count(Lower(name)) > 0;
 }
 
 void Catalog::SetStats(const std::string& name, stats::TableStatsPtr s) const {
@@ -218,11 +190,6 @@ std::vector<std::string> Catalog::StatsNames() const {
   names.reserve(rep_->stats.size());
   for (const auto& [name, entry] : rep_->stats) names.push_back(name);
   return names;
-}
-
-bool Catalog::IsAppendable(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(rep_->mu);
-  return rep_->appendables.count(Lower(name)) > 0;
 }
 
 }  // namespace sgb::engine

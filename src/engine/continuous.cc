@@ -619,13 +619,12 @@ Schema ContinuousQueriesSchema() {
 
 }  // namespace
 
-Result<TablePtr> ContinuousQueryManager::SystemRows() const {
+Status ContinuousQueryManager::SystemRows(Table* table) const {
   std::vector<std::shared_ptr<Cq>> all;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, cq] : queries_) all.push_back(cq);
   }
-  auto table = std::make_shared<Table>(ContinuousQueriesSchema());
   table->Reserve(all.size());
   for (const std::shared_ptr<Cq>& cq_ptr : all) {
     Cq& cq = *cq_ptr;
@@ -653,15 +652,15 @@ Result<TablePtr> ContinuousQueryManager::SystemRows() const {
         Value::Int(static_cast<int64_t>(cq.subscribers.size())),
         Value::Str(cq.definition)}));
   }
-  return TablePtr(std::move(table));
+  return Status::OK();
 }
 
 void RegisterContinuousSystemTable(
     Catalog* catalog, std::shared_ptr<ContinuousQueryManager> manager) {
   catalog->RegisterProvider(
-      "system.continuous_queries",
-      [manager](const Catalog&) -> Result<TablePtr> {
-        return manager->SystemRows();
+      "system.continuous_queries", ContinuousQueriesSchema(),
+      [manager](const Catalog&, Table* table) {
+        return manager->SystemRows(table);
       });
 }
 

@@ -101,8 +101,9 @@ class ContinuousQueryManager {
   /// Database-wide Cancel() fans into this).
   void CancelActive();
 
-  /// One row per registered query — the system.continuous_queries surface.
-  Result<TablePtr> SystemRows() const;
+  /// Appends one row per registered query to `out` — the
+  /// system.continuous_queries surface.
+  Status SystemRows(Table* out) const;
 
   /// The tracker charged by all maintained window state ("continuous",
   /// parented to the engine-global tracker).

@@ -117,11 +117,10 @@ bool ExprHasSubquery(const sql::ParsedExpr& e) {
 }
 
 /// Whether a plan for `stmt` stays valid across executions at a fixed
-/// catalog version. Virtual (system.*) tables materialize their snapshot
-/// at plan time, and IN (SELECT ...) subqueries are folded at plan time,
-/// so either one would freeze results; those statements are replanned
-/// every run. Append-only tables are safe — their scans pin a fresh
-/// snapshot at every Open.
+/// catalog version. IN (SELECT ...) subqueries are folded at plan time, so
+/// they would freeze results, and virtual (system.*) sources are bound to
+/// this Catalog object when planned; those statements are replanned every
+/// run. Every other scan pins a fresh snapshot at each Open.
 bool SelectIsCacheSafe(const sql::SelectStatement& stmt,
                        const Catalog& catalog) {
   for (const sql::TableRef& ref : stmt.from) {
@@ -129,7 +128,10 @@ bool SelectIsCacheSafe(const sql::SelectStatement& stmt,
       if (!SelectIsCacheSafe(*ref.subquery, catalog)) return false;
       continue;
     }
-    if (catalog.IsVirtual(ref.table_name)) return false;
+    auto source = catalog.Find(ref.table_name);
+    if (source.ok() && source.value()->kind() == TableKind::kSystem) {
+      return false;
+    }
   }
   for (const auto& item : stmt.items) {
     if (item.expr != nullptr && ExprHasSubquery(*item.expr)) return false;
@@ -389,7 +391,7 @@ Result<Database> Database::Open(const std::string& directory,
   // tables, and continuous queries see them like any other table.
   for (const std::string& name : db.storage_->TableNames()) {
     SGB_RETURN_IF_ERROR(
-        db.catalog_.RegisterPaged(name, db.storage_->Find(name)));
+        db.catalog_.RegisterSource(name, db.storage_->Find(name)));
   }
   RegisterStorageSystemTables(&db.catalog_, db.storage_);
   return db;
@@ -467,7 +469,7 @@ Result<Table> Database::Query(Session& session, const std::string& sql,
     return ExecuteDrop(session, *non_select.drop, &info);
   }
   if (non_select.analyze.has_value()) {
-    return ExecuteAnalyze(session, *non_select.analyze, &info);
+    return ExecuteAnalyze(session, gov, *non_select.analyze, trace, &info);
   }
   if (non_select.create_continuous.has_value()) {
     return ExecuteCreateContinuous(
@@ -703,7 +705,7 @@ Result<Table> Database::ExecuteCreate(Session& session,
     // Disk-backed database: the table lives in the storage engine (WAL +
     // pages) and is mirrored into the catalog for the planner.
     const std::string name = LowerName(create.table);
-    if (catalog_.Contains(name) && !catalog_.IsPaged(name)) {
+    if (catalog_.Find(name).ok() && storage_->Find(name) == nullptr) {
       status = create.if_not_exists
                    ? Status::OK()
                    : Status::InvalidArgument("table '" + create.table +
@@ -713,7 +715,7 @@ Result<Table> Database::ExecuteCreate(Session& session,
       status = storage_->CreateTable(name, schema, create.if_not_exists,
                                      &created);
       if (status.ok() && created) {
-        status = catalog_.RegisterPaged(name, storage_->Find(name));
+        status = catalog_.RegisterSource(name, storage_->Find(name));
       }
     }
   } else {
@@ -728,7 +730,7 @@ Result<Table> Database::ExecuteCreate(Session& session,
 Result<Table> Database::ExecuteInsert(Session& session,
                                       const sql::InsertStatement& insert,
                                       StatementInfo* info) const {
-  if (storage_ != nullptr && catalog_.IsPaged(insert.table)) {
+  if (storage_ != nullptr && storage_->Find(LowerName(insert.table))) {
     const int64_t n = static_cast<int64_t>(insert.rows.size());
     Status status = storage_->Insert(LowerName(insert.table), insert.rows);
     if (status.ok()) {
@@ -742,7 +744,7 @@ Result<Table> Database::ExecuteInsert(Session& session,
   AppendTablePtr table = catalog_.FindAppendable(insert.table);
   if (table == nullptr) {
     const Status status =
-        catalog_.Contains(insert.table)
+        catalog_.Find(insert.table).ok()
             ? Status::InvalidArgument(
                   "table '" + insert.table +
                   "' does not accept INSERT (only CREATE TABLE tables do)")
@@ -772,7 +774,7 @@ Result<Table> Database::ExecuteDrop(Session& session,
                                     const sql::DropTableStatement& drop,
                                     StatementInfo* info) const {
   Status status;
-  if (storage_ != nullptr && catalog_.IsPaged(drop.table)) {
+  if (storage_ != nullptr && storage_->Find(LowerName(drop.table))) {
     // WAL the drop first; only a durably dropped table leaves the catalog.
     status = storage_->DropTable(LowerName(drop.table), drop.if_exists);
     if (status.ok()) status = catalog_.Drop(drop.table, drop.if_exists);
@@ -785,40 +787,50 @@ Result<Table> Database::ExecuteDrop(Session& session,
 }
 
 Result<Table> Database::ExecuteAnalyze(Session& session,
+                                       const SessionGovernance& gov,
                                        const sql::AnalyzeStatement& analyze,
+                                       obs::QueryTrace* trace,
                                        StatementInfo* info) const {
-  std::vector<std::string> names;
-  if (!analyze.table.empty()) {
-    if (catalog_.IsVirtual(analyze.table)) {
-      const Status status = Status::InvalidArgument(
-          "ANALYZE: system table '" + analyze.table +
-          "' has no statistics");
-      LogSimpleStatement(session, *info, status, 0);
-      return status;
-    }
-    names.push_back(analyze.table);
-  } else {
-    for (const std::string& name : catalog_.TableNames()) {
-      if (!catalog_.IsVirtual(name)) names.push_back(name);
-    }
-  }
+  std::vector<std::string> names = analyze.table.empty()
+                                       ? catalog_.TableNames()
+                                       : std::vector{analyze.table};
+  // Streams each table under the session's governance, as a SELECT would:
+  // the budget bounds the rows in flight, and Cancel/timeouts reach it.
+  QueryContext ctx(gov.memory_budget_bytes);
+  ActivateContext(session, gov, trace, &ctx);
+  size_t analyzed = 0;
   int64_t rows = 0;
+  Status status;
   for (const std::string& name : names) {
-    auto table = catalog_.Get(name);
-    if (!table.ok()) {
-      LogSimpleStatement(session, *info, table.status(), 0);
-      return table.status();
+    auto source = catalog_.Find(name);
+    if (!source.ok()) {
+      status = source.status();
+      break;
     }
-    auto stats = std::make_shared<stats::TableStats>(
-        stats::ComputeTableStats(name, *table.value()));
-    rows += static_cast<int64_t>(stats->row_count);
-    catalog_.SetStats(name, std::move(stats));
+    if (source.value()->kind() == TableKind::kSystem) {
+      if (analyze.table.empty()) continue;  // bare ANALYZE skips them
+      status = Status::InvalidArgument("ANALYZE: system table '" + name +
+                                       "' has no statistics");
+      break;
+    }
+    try {
+      auto stats = std::make_shared<stats::TableStats>(
+          stats::ComputeTableStats(name, *source.value(), &ctx));
+      rows += static_cast<int64_t>(stats->row_count);
+      catalog_.SetStats(name, std::move(stats));
+      ++analyzed;
+    } catch (const QueryAbort& abort) {
+      status = abort.status();
+      break;
+    }
   }
-  const Status status = Status::OK();
-  LogSimpleStatement(session, *info, status, rows);
+  DeactivateContext(session, &ctx, 0);
+  LogSimpleStatement(session, *info, status, status.ok() ? rows : 0,
+                     ctx.memory().peak_bytes());
+  if (!status.ok()) return status;
   return AckTable("analyze",
-                  "ANALYZE " + std::to_string(names.size()) + " table" +
-                      (names.size() == 1 ? "" : "s") + ", " +
+                  "ANALYZE " + std::to_string(analyzed) + " table" +
+                      (analyzed == 1 ? "" : "s") + ", " +
                       std::to_string(rows) + " rows");
 }
 
@@ -853,6 +865,38 @@ Result<Table> Database::ExecuteCheckpoint(Session& session,
   LogSimpleStatement(session, *info, status, 0);
   if (!status.ok()) return status;
   return AckTable("checkpoint", "CHECKPOINT");
+}
+
+void Database::ActivateContext(Session& session, const SessionGovernance& gov,
+                               obs::QueryTrace* trace,
+                               QueryContext* ctx) const {
+  if (gov.timeout_ms > 0) ctx->SetTimeout(gov.timeout_ms);
+  if (gov.spill_enabled) {
+    SpillConfig spill;
+    spill.enabled = true;
+    spill.directory = gov.spill_directory;
+    ctx->set_spill(spill);
+  }
+  ctx->set_trace(trace);
+  {
+    std::lock_guard<std::mutex> lock(active_->mu);
+    active_->contexts.push_back(ctx);
+  }
+  session.RegisterContext(ctx);
+}
+
+void Database::DeactivateContext(Session& session, QueryContext* ctx,
+                                 size_t admitted_bytes) const {
+  session.UnregisterContext(ctx);
+  {
+    std::lock_guard<std::mutex> lock(active_->mu);
+    auto& contexts = active_->contexts;
+    contexts.erase(std::remove(contexts.begin(), contexts.end(), ctx),
+                   contexts.end());
+    active_->admitted_bytes -= std::min(active_->admitted_bytes,
+                                        admitted_bytes);
+  }
+  if (admitted_bytes > 0) active_->cv.notify_all();
 }
 
 Status Database::AdmitQuery(const SessionGovernance& gov, size_t estimate,
@@ -937,8 +981,8 @@ void Database::LogFailedStatement(Session& session,
 }
 
 void Database::LogSimpleStatement(Session& session, const StatementInfo& info,
-                                  const Status& status,
-                                  int64_t rows_out) const {
+                                  const Status& status, int64_t rows_out,
+                                  size_t peak_bytes) const {
   obs::QueryLogEntry entry;
   entry.id = query_log_->NextId();
   entry.session_id = static_cast<int64_t>(session.id());
@@ -949,6 +993,7 @@ void Database::LogSimpleStatement(Session& session, const StatementInfo& info,
   entry.cpu_micros =
       std::max<int64_t>(0, ProcessCpuMicros() - info.cpu_start_micros);
   entry.rows_out = rows_out;
+  entry.peak_memory_bytes = static_cast<int64_t>(peak_bytes);
   entry.tier = info.tier;
   session.RecordStatement(status.ok(), rows_out);
   query_log_->Record(std::move(entry), {});
@@ -1014,36 +1059,14 @@ Result<Table> Database::RunPlan(Session& session,
   }
 
   QueryContext ctx(gov.memory_budget_bytes);
-  if (gov.timeout_ms > 0) ctx.SetTimeout(gov.timeout_ms);
-  if (gov.spill_enabled) {
-    SpillConfig spill;
-    spill.enabled = true;
-    spill.directory = gov.spill_directory;
-    ctx.set_spill(spill);
-  }
-  ctx.set_trace(trace);
+  ActivateContext(session, gov, trace, &ctx);
   root.SetQueryContext(&ctx);
-  {
-    std::lock_guard<std::mutex> lock(active_->mu);
-    active_->contexts.push_back(&ctx);
-  }
-  session.RegisterContext(&ctx);
 
   const auto exec_start = std::chrono::steady_clock::now();
   Result<Table> result = Execute(root, trace);
   entry.exec_micros = ElapsedMicros(exec_start);
 
-  session.UnregisterContext(&ctx);
-  {
-    std::lock_guard<std::mutex> lock(active_->mu);
-    auto& contexts = active_->contexts;
-    contexts.erase(std::remove(contexts.begin(), contexts.end(), &ctx),
-                   contexts.end());
-    if (admitted) {
-      active_->admitted_bytes -= std::min(active_->admitted_bytes, estimate);
-    }
-  }
-  if (admitted) active_->cv.notify_all();
+  DeactivateContext(session, &ctx, admitted ? estimate : 0);
   const size_t peak = ctx.memory().peak_bytes();
   if (run_stats != nullptr) {
     run_stats->peak_bytes = peak;

@@ -37,9 +37,9 @@ namespace sgb::engine {
 /// its own governance knobs, plan cache, and prepared statements; every
 /// session-less legacy call runs on a built-in default session, so the
 /// historical single-session API is unchanged. Statements from different
-/// sessions execute concurrently; DDL-created tables are append-only and
-/// scanned through pinned snapshots, so readers never block writers and
-/// never observe a torn INSERT.
+/// sessions execute concurrently; every table is a TableSource read through
+/// pinned snapshots, so readers never block writers and never observe a
+/// torn INSERT.
 ///
 /// Observability: every Query() run bumps `engine.queries` and records its
 /// wall time into the `engine.query_us` histogram of the global
@@ -69,8 +69,9 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
-  void Register(const std::string& name, TablePtr table) {
-    catalog_.Register(name, std::move(table));
+  /// Registers or replaces a stored table (Catalog::Register).
+  Status Register(const std::string& name, TablePtr table) {
+    return catalog_.Register(name, std::move(table));
   }
 
   // ---- Sessions (docs/SERVER.md) ----------------------------------------
@@ -291,11 +292,12 @@ class Database {
                             const sql::DropTableStatement& drop,
                             StatementInfo* info) const;
 
-  /// ANALYZE [table]: scans the named table (or every stored/appendable
-  /// table) and installs fresh statistics in the catalog, bumping the
-  /// catalog version so cached plans replan against them.
-  Result<Table> ExecuteAnalyze(Session& session,
+  /// ANALYZE [table]: streams the named table (or every non-virtual table)
+  /// under a QueryContext built from `gov`, as a SELECT runs, and installs
+  /// fresh statistics, bumping the catalog version so cached plans replan.
+  Result<Table> ExecuteAnalyze(Session& session, const SessionGovernance& gov,
                                const sql::AnalyzeStatement& analyze,
+                               obs::QueryTrace* trace,
                                StatementInfo* info) const;
 
   /// CREATE/DROP CONTINUOUS QUERY against the continuous-query registry
@@ -324,6 +326,15 @@ class Database {
                     bool* admitted, std::string* outcome,
                     int64_t* queue_micros, obs::QueryTrace* trace) const;
 
+  /// Applies `gov` (timeout, spill, trace) to `ctx` and registers it, so
+  /// Cancel() and Session::CancelActive() reach it.
+  void ActivateContext(Session& session, const SessionGovernance& gov,
+                       obs::QueryTrace* trace, QueryContext* ctx) const;
+
+  /// Undoes ActivateContext and returns `admitted_bytes` of headroom.
+  void DeactivateContext(Session& session, QueryContext* ctx,
+                         size_t admitted_bytes) const;
+
   /// Executes `root` under a fresh QueryContext built from the session's
   /// governance snapshot `gov`, maintaining both the Database-wide and the
   /// session's active-query registries and the `mem.*` / `query.*`
@@ -341,9 +352,11 @@ class Database {
   /// execution (parse/bind/plan errors).
   void LogFailedStatement(Session& session, const StatementInfo& info) const;
 
-  /// Records a query-log entry for a non-plan statement (DDL/DML).
+  /// Records a query-log entry for a non-plan statement (DDL/DML/ANALYZE);
+  /// `peak_bytes` is the statement's peak tracked memory, if it had any.
   void LogSimpleStatement(Session& session, const StatementInfo& info,
-                          const Status& status, int64_t rows_out) const;
+                          const Status& status, int64_t rows_out,
+                          size_t peak_bytes = 0) const;
 
   /// Registry of the queries executing right now across every session;
   /// behind a shared_ptr so Database stays movable (tests build and

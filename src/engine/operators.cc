@@ -20,12 +20,6 @@ namespace sgb::engine {
 static FaultSite g_batch_alloc_fault("engine.batch.alloc",
                                      Status::Code::kResourceExhausted);
 
-size_t ApproxRowVectorBytes(const std::vector<Row>& rows) {
-  size_t total = rows.capacity() * sizeof(Row);
-  for (const Row& row : rows) total += row.capacity() * sizeof(Value);
-  return total;
-}
-
 bool Operator::NextBatch(RowBatch* out) {
   // Counter object lives for the registry's lifetime, so the reference
   // stays valid across MetricsRegistry::Reset().
@@ -233,34 +227,45 @@ constexpr size_t kMapNodeBytes = 64;
 
 class TableScanOp final : public Operator {
  public:
-  TableScanOp(TablePtr table, const std::string& qualifier)
-      : table_(std::move(table)),
-        schema_(qualifier.empty() ? table_->schema()
-                                  : table_->schema().WithQualifier(qualifier)) {
-  }
+  TableScanOp(TableSourcePtr source, const std::string& qualifier)
+      : source_(std::move(source)),
+        schema_(qualifier.empty()
+                    ? source_->schema()
+                    : source_->schema().WithQualifier(qualifier)) {}
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "TableScan"; }
   std::string label() const override {
-    return schema_.size() > 0 && !schema_.column(0).qualifier.empty()
-               ? "TableScan " + schema_.column(0).qualifier
-               : std::string("TableScan");
+    std::string label = "TableScan";
+    if (schema_.size() > 0 && !schema_.column(0).qualifier.empty()) {
+      label += " " + schema_.column(0).qualifier;
+    }
+    if (source_->kind() == TableKind::kAppendable) return label + " (snapshot)";
+    if (source_->kind() == TableKind::kPaged) return label + " (paged)";
+    return label;
   }
   size_t EstimateFootprintBytes() const override {
-    return table_->NumRows() *
-           (sizeof(Row) + schema_.size() * sizeof(Value));
+    // A paged scan holds one page of decoded rows at a time, independent
+    // of table size; an in-memory scan is charged its pinned rows.
+    if (source_->kind() == TableKind::kPaged) return 2 * 8192;
+    auto pinned = source_->Pin();
+    return pinned.ok() ? pinned.value()->rows() *
+                             (sizeof(Row) + schema_.size() * sizeof(Value))
+                       : 0;
   }
-  void OpenImpl() override { next_ = 0; }
-  bool NextBatchImpl(RowBatch* out) override {
-    const size_t end =
-        std::min(table_->NumRows(), next_ + out->capacity());
-    for (; next_ < end; ++next_) out->Append(table_->rows()[next_]);
-    return !out->empty();
+  void OpenImpl() override {
+    // The snapshot pin: every row below it is immutable, so the scan needs
+    // no further coordination with writers.
+    auto pinned = source_->Pin();
+    if (!pinned.ok()) throw QueryAbort(pinned.status());
+    cursor_ = std::move(pinned).value();
   }
+  bool NextBatchImpl(RowBatch* out) override { return cursor_->Next(out); }
+  void CloseImpl() override { cursor_.reset(); }
 
  private:
-  TablePtr table_;
+  TableSourcePtr source_;
   Schema schema_;
-  size_t next_ = 0;
+  TableCursorPtr cursor_;
 };
 
 class FilterOp final : public Operator {
@@ -1235,8 +1240,9 @@ class LimitOp final : public Operator {
 
 }  // namespace
 
-OperatorPtr MakeTableScan(TablePtr table, const std::string& qualifier) {
-  return std::make_unique<TableScanOp>(std::move(table), qualifier);
+OperatorPtr MakeTableScan(TableSourcePtr source,
+                          const std::string& qualifier) {
+  return std::make_unique<TableScanOp>(std::move(source), qualifier);
 }
 
 OperatorPtr MakeFilter(OperatorPtr child, ExprPtr predicate) {

@@ -35,34 +35,6 @@ struct OperatorStats {
   double TotalMillis() const { return static_cast<double>(TotalNs()) / 1e6; }
 };
 
-/// Fixed-capacity container of rows for batch-at-a-time execution. A batch
-/// is filled by one NextBatch() call and consumed wholesale by the parent,
-/// amortizing the per-row virtual-call and timing overhead of the Volcano
-/// interface across kDefaultCapacity rows.
-class RowBatch {
- public:
-  static constexpr size_t kDefaultCapacity = 1024;
-
-  explicit RowBatch(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    rows_.reserve(capacity_);
-  }
-
-  size_t capacity() const { return capacity_; }
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  bool Full() const { return rows_.size() >= capacity_; }
-  void Clear() { rows_.clear(); }
-  void Append(Row row) { rows_.push_back(std::move(row)); }
-
-  std::vector<Row>& rows() { return rows_; }
-  const std::vector<Row>& rows() const { return rows_; }
-
- private:
-  size_t capacity_;
-  std::vector<Row> rows_;
-};
-
 /// The finished output of a blocking operator (aggregates, sort, spilled
 /// join, SGB): filled once in Open(), handed out batch by batch.
 struct BufferedRows {
@@ -221,8 +193,13 @@ class Operator {
 
 using OperatorPtr = std::unique_ptr<Operator>;
 
-/// Full scan over a stored (or materialized intermediate) table.
-OperatorPtr MakeTableScan(TablePtr table, const std::string& qualifier = "");
+/// The one scan: pins `source` at every Open() and streams that snapshot,
+/// so a re-opened plan sees rows appended since its last run but never a
+/// concurrent append mid-flight. EXPLAIN labels it "TableScan <qualifier>",
+/// suffixed " (snapshot)" for append-only and " (paged)" for disk-backed
+/// sources.
+OperatorPtr MakeTableScan(TableSourcePtr source,
+                          const std::string& qualifier = "");
 
 /// Emits child rows whose predicate evaluates truthy.
 OperatorPtr MakeFilter(OperatorPtr child, ExprPtr predicate);
@@ -292,10 +269,6 @@ std::string ExplainPlan(const Operator& root);
 ///     SimilarityGroupByAll (...) (rows=10 time=0.180ms mem=2.1KB
 ///                                 dist_comps=812 groups=10)
 std::string ExplainAnalyzePlan(const Operator& root);
-
-/// Rough bytes held by a materialized row vector (Row headers + Value
-/// slots; string payloads are not walked). Used for peak-memory estimates.
-size_t ApproxRowVectorBytes(const std::vector<Row>& rows);
 
 /// Human-readable byte count ("2.1KB", "3.0MB") — the formatting used for
 /// mem=/peak_mem= annotations in EXPLAIN ANALYZE.

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "engine/operators.h"
 #include "obs/metrics.h"
 #include "stats/table_stats.h"
 #include "storage/storage_engine.h"
@@ -31,9 +30,8 @@ Schema MetricsSchema() {
 /// One row per metric: counters first, then gauges, then histograms, each
 /// group name-sorted (MetricsSnapshot's maps are ordered), so the listing
 /// is stable across runs given the same registered names.
-Result<TablePtr> MetricsProvider(const Catalog&) {
+Status MetricsProvider(const Catalog&, Table* table) {
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
-  auto table = std::make_shared<Table>(MetricsSchema());
   table->Reserve(snap.counters.size() + snap.gauges.size() +
                  snap.histograms.size());
   for (const auto& [name, v] : snap.counters) {
@@ -60,7 +58,7 @@ Result<TablePtr> MetricsProvider(const Catalog&) {
             Value::Double(h.p50), Value::Double(h.p90), Value::Double(h.p95),
             Value::Double(h.p99)}));
   }
-  return TablePtr(std::move(table));
+  return Status::OK();
 }
 
 Schema QueryLogSchema() {
@@ -113,45 +111,26 @@ Schema TablesSchema() {
   return s;
 }
 
-/// Stored tables report live row/byte counts; append-only tables report
-/// their current snapshot without copying it; virtual tables are listed
-/// with NULL sizes (materializing them here would recurse into providers —
-/// including this one).
-Result<TablePtr> TablesProvider(const Catalog& catalog) {
-  auto table = std::make_shared<Table>(TablesSchema());
+/// Sizes come from a fresh pin (no rows are copied) and the source's bytes;
+/// virtual tables get NULL sizes (pinning them would recurse into
+/// providers — including this one).
+Status TablesProvider(const Catalog& catalog, Table* table) {
   for (const std::string& name : catalog.TableNames()) {
-    if (catalog.IsVirtual(name)) {
-      SGB_RETURN_IF_ERROR(table->Append(
-          Row{Value::Str(name), Value::Str("system"), Value::Null(),
-              Value::Null(), Value::Null()}));
-      continue;
+    auto source = catalog.Find(name);
+    if (!source.ok()) continue;  // dropped since TableNames()
+    const TableSource& s = *source.value();
+    Row row{Value::Str(name), Value::Str(std::string(TableKindName(s.kind()))),
+            Value::Null(), Value::Null(), Value::Null()};
+    if (s.kind() != TableKind::kSystem) {
+      auto pin = s.Pin();
+      if (!pin.ok()) return pin.status();
+      row[2] = Value::Int(static_cast<int64_t>(pin.value()->rows()));
+      row[3] = Value::Int(static_cast<int64_t>(s.schema().size()));
+      row[4] = Value::Int(static_cast<int64_t>(s.bytes()));
     }
-    if (AppendTablePtr appendable = catalog.FindAppendable(name)) {
-      SGB_RETURN_IF_ERROR(table->Append(
-          Row{Value::Str(name), Value::Str("appendable"),
-              Value::Int(static_cast<int64_t>(appendable->SnapshotRows())),
-              Value::Int(static_cast<int64_t>(appendable->schema().size())),
-              Value::Int(static_cast<int64_t>(appendable->ApproxBytes()))}));
-      continue;
-    }
-    if (storage::PagedTablePtr paged = catalog.FindPaged(name)) {
-      SGB_RETURN_IF_ERROR(table->Append(
-          Row{Value::Str(name), Value::Str("paged"),
-              Value::Int(static_cast<int64_t>(paged->SnapshotRows())),
-              Value::Int(static_cast<int64_t>(paged->schema().size())),
-              Value::Int(static_cast<int64_t>(paged->ApproxBytes()))}));
-      continue;
-    }
-    Result<TablePtr> stored = catalog.Get(name);
-    if (!stored.ok()) return stored.status();
-    const Table& t = *stored.value();
-    SGB_RETURN_IF_ERROR(table->Append(
-        Row{Value::Str(name), Value::Str("table"),
-            Value::Int(static_cast<int64_t>(t.NumRows())),
-            Value::Int(static_cast<int64_t>(t.schema().size())),
-            Value::Int(static_cast<int64_t>(ApproxRowVectorBytes(t.rows())))}));
+    SGB_RETURN_IF_ERROR(table->Append(std::move(row)));
   }
-  return TablePtr(std::move(table));
+  return Status::OK();
 }
 
 Schema SessionsSchema() {
@@ -195,8 +174,7 @@ Schema StatsSchema() {
 /// duplicate-point NDV, occupied histogram cells — repeat on every row of
 /// their table; `grid_axis` is 1/2 on the histogram's x/y column, NULL on
 /// the rest. Tables never ANALYZEd do not appear.
-Result<TablePtr> StatsProvider(const Catalog& catalog) {
-  auto table = std::make_shared<Table>(StatsSchema());
+Status StatsProvider(const Catalog& catalog, Table* table) {
   for (const std::string& name : catalog.StatsNames()) {
     const stats::TableStatsPtr ts = catalog.GetStats(name);
     if (ts == nullptr) continue;
@@ -224,7 +202,7 @@ Result<TablePtr> StatsProvider(const Catalog& catalog) {
               grid_cells}));
     }
   }
-  return TablePtr(std::move(table));
+  return Status::OK();
 }
 
 const char* AdmissionModeName(AdmissionMode mode) {
@@ -243,12 +221,12 @@ const char* AdmissionModeName(AdmissionMode mode) {
 void RegisterSystemTables(Catalog* catalog,
                           std::shared_ptr<obs::QueryLog> query_log,
                           std::shared_ptr<SessionRegistry> sessions) {
-  catalog->RegisterProvider("system.metrics", MetricsProvider);
+  catalog->RegisterProvider("system.metrics", MetricsSchema(),
+                            MetricsProvider);
 
   catalog->RegisterProvider(
-      "system.query_log",
-      [query_log](const Catalog&) -> Result<TablePtr> {
-        auto table = std::make_shared<Table>(QueryLogSchema());
+      "system.query_log", QueryLogSchema(),
+      [query_log](const Catalog&, Table* table) {
         const auto entries = query_log->Entries();
         table->Reserve(entries.size());
         for (const obs::QueryLogEntry& e : entries) {
@@ -266,13 +244,12 @@ void RegisterSystemTables(Catalog* catalog,
                   Value::Str(e.tier), Value::Int(e.est_rows),
                   Value::Str(e.strategy)}));
         }
-        return TablePtr(std::move(table));
+        return Status::OK();
       });
 
   catalog->RegisterProvider(
-      "system.operator_stats",
-      [query_log](const Catalog&) -> Result<TablePtr> {
-        auto table = std::make_shared<Table>(OperatorStatsSchema());
+      "system.operator_stats", OperatorStatsSchema(),
+      [query_log](const Catalog&, Table* table) {
         const auto ops = query_log->OperatorStats();
         table->Reserve(ops.size());
         for (const obs::OperatorStatsEntry& o : ops) {
@@ -283,17 +260,16 @@ void RegisterSystemTables(Catalog* catalog,
                   Value::Int(o.open_micros), Value::Int(o.next_micros),
                   Value::Int(o.peak_memory_bytes)}));
         }
-        return TablePtr(std::move(table));
+        return Status::OK();
       });
 
-  catalog->RegisterProvider("system.tables", TablesProvider);
+  catalog->RegisterProvider("system.tables", TablesSchema(), TablesProvider);
 
-  catalog->RegisterProvider("system.stats", StatsProvider);
+  catalog->RegisterProvider("system.stats", StatsSchema(), StatsProvider);
 
   catalog->RegisterProvider(
-      "system.sessions",
-      [sessions](const Catalog&) -> Result<TablePtr> {
-        auto table = std::make_shared<Table>(SessionsSchema());
+      "system.sessions", SessionsSchema(),
+      [sessions](const Catalog&, Table* table) {
         Status status = Status::OK();
         sessions->ForEach([&](const Session& s) {
           if (!status.ok()) return;
@@ -316,32 +292,30 @@ void RegisterSystemTables(Catalog* catalog,
                       : Value::Null(),
                   Value::Str(AdmissionModeName(s.admission_mode()))});
         });
-        SGB_RETURN_IF_ERROR(status);
-        return TablePtr(std::move(table));
+        return status;
       });
 }
 
 void RegisterStorageSystemTables(
     Catalog* catalog, std::shared_ptr<storage::StorageEngine> storage) {
+  Schema schema;
+  schema.AddColumn(Column{"hits", DataType::kInt64, ""});
+  schema.AddColumn(Column{"misses", DataType::kInt64, ""});
+  schema.AddColumn(Column{"evictions", DataType::kInt64, ""});
+  schema.AddColumn(Column{"writebacks", DataType::kInt64, ""});
+  schema.AddColumn(Column{"capacity_pages", DataType::kInt64, ""});
+  schema.AddColumn(Column{"resident_pages", DataType::kInt64, ""});
+  schema.AddColumn(Column{"dirty_pages", DataType::kInt64, ""});
+  schema.AddColumn(Column{"pinned_pages", DataType::kInt64, ""});
+  schema.AddColumn(Column{"page_size", DataType::kInt64, ""});
+  schema.AddColumn(Column{"policy", DataType::kString, ""});
+  schema.AddColumn(Column{"checkpoints", DataType::kInt64, ""});
+  schema.AddColumn(Column{"wal_bytes", DataType::kInt64, ""});
+  schema.AddColumn(Column{"wal_replayed", DataType::kInt64, ""});
+  schema.AddColumn(Column{"crashed", DataType::kInt64, ""});
   catalog->RegisterProvider(
-      "system.buffer_pool",
-      [storage](const Catalog&) -> Result<TablePtr> {
-        Schema schema;
-        schema.AddColumn(Column{"hits", DataType::kInt64, ""});
-        schema.AddColumn(Column{"misses", DataType::kInt64, ""});
-        schema.AddColumn(Column{"evictions", DataType::kInt64, ""});
-        schema.AddColumn(Column{"writebacks", DataType::kInt64, ""});
-        schema.AddColumn(Column{"capacity_pages", DataType::kInt64, ""});
-        schema.AddColumn(Column{"resident_pages", DataType::kInt64, ""});
-        schema.AddColumn(Column{"dirty_pages", DataType::kInt64, ""});
-        schema.AddColumn(Column{"pinned_pages", DataType::kInt64, ""});
-        schema.AddColumn(Column{"page_size", DataType::kInt64, ""});
-        schema.AddColumn(Column{"policy", DataType::kString, ""});
-        schema.AddColumn(Column{"checkpoints", DataType::kInt64, ""});
-        schema.AddColumn(Column{"wal_bytes", DataType::kInt64, ""});
-        schema.AddColumn(Column{"wal_replayed", DataType::kInt64, ""});
-        schema.AddColumn(Column{"crashed", DataType::kInt64, ""});
-        auto table = std::make_shared<Table>(std::move(schema));
+      "system.buffer_pool", std::move(schema),
+      [storage](const Catalog&, Table* table) {
         const storage::BufferPoolStats bp = storage->buffer_stats();
         const storage::StorageStats st = storage->stats();
         SGB_RETURN_IF_ERROR(table->Append(
@@ -359,7 +333,7 @@ void RegisterStorageSystemTables(
                 Value::Int(static_cast<int64_t>(st.wal_bytes)),
                 Value::Int(static_cast<int64_t>(st.wal_replayed_records)),
                 Value::Int(st.crashed ? 1 : 0)}));
-        return TablePtr(std::move(table));
+        return Status::OK();
       });
 }
 

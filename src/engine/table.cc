@@ -11,6 +11,19 @@ namespace sgb::engine {
 static FaultSite g_table_append_fault("engine.table.append",
                                       Status::Code::kResourceExhausted);
 
+size_t ApproxRowVectorBytes(const std::vector<Row>& rows) {
+  size_t total = rows.capacity() * sizeof(Row);
+  for (const Row& row : rows) total += row.capacity() * sizeof(Value);
+  return total;
+}
+
+size_t Table::bytes() const { return ApproxRowVectorBytes(rows_); }
+
+Result<TableCursorPtr> Table::Pin() const {
+  return MakeIndexedCursor(
+      rows_.size(), [this](size_t i) -> const Row& { return rows_[i]; });
+}
+
 Status Table::Append(Row row) {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(

@@ -7,17 +7,23 @@
 
 #include "common/status.h"
 #include "engine/schema.h"
+#include "engine/table_source.h"
 #include "engine/value.h"
 
 namespace sgb::engine {
 
-/// An in-memory row-store table: the engine's only storage format.
-class Table {
+/// An immutable-once-registered in-memory row store: registered tables,
+/// materialized query results, and virtual-table snapshots.
+class Table final : public TableSource {
  public:
   Table() = default;
   explicit Table(Schema schema) : schema_(std::move(schema)) {}
 
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const override { return schema_; }
+  TableKind kind() const override { return TableKind::kTable; }
+  size_t bytes() const override;
+  /// Borrows the table: it must not be appended to while pinned.
+  Result<TableCursorPtr> Pin() const override;
   const std::vector<Row>& rows() const { return rows_; }
   size_t NumRows() const { return rows_.size(); }
 
@@ -35,6 +41,10 @@ class Table {
 };
 
 using TablePtr = std::shared_ptr<const Table>;
+
+/// Rough bytes held by a materialized row vector (Row headers + Value
+/// slots; string payloads are not walked). Used for peak-memory estimates.
+size_t ApproxRowVectorBytes(const std::vector<Row>& rows);
 
 }  // namespace sgb::engine
 

@@ -8,10 +8,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "engine/append_table.h"
 #include "engine/sgb_operator.h"
 #include "stats/table_stats.h"
-#include "storage/paged_table.h"
 
 namespace sgb::sql {
 
@@ -243,20 +241,10 @@ class PlannerImpl {
     }
     const std::string qualifier =
         ref.alias.empty() ? ref.table_name : ref.alias;
-    // Append-only and paged tables scan through a pinned snapshot instead
-    // of a materialized copy, so readers never block (or copy) writers —
-    // and a paged table streams pages through the buffer pool, so a table
-    // larger than memory scans without materializing.
-    OperatorPtr scan;
-    if (auto appendable = catalog_.FindAppendable(ref.table_name)) {
-      scan = engine::MakeAppendScan(std::move(appendable), qualifier);
-    } else if (auto paged = catalog_.FindPaged(ref.table_name)) {
-      scan = storage::MakePagedScan(std::move(paged), qualifier);
-    } else {
-      auto table = catalog_.Get(ref.table_name);
-      if (!table.ok()) return table.status();
-      scan = engine::MakeTableScan(std::move(table).value(), qualifier);
-    }
+    auto source = catalog_.Find(ref.table_name);
+    if (!source.ok()) return source.status();
+    OperatorPtr scan =
+        engine::MakeTableScan(std::move(source).value(), qualifier);
     if (stats::TableStatsPtr ts = catalog_.GetStats(ref.table_name)) {
       const double rows = static_cast<double>(ts->row_count);
       Annotate(scan.get(), rows,

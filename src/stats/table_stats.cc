@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+
+#include "engine/table.h"
 
 namespace sgb::stats {
 
@@ -163,14 +166,6 @@ double GridHistogram::EstimatePairs(double epsilon, const std::string& metric,
   return pairs;
 }
 
-double GridHistogram::EstimateGroups(double epsilon, const std::string& metric,
-                                     double scale) const {
-  const double n = static_cast<double>(total_) * scale;
-  if (n <= 0.0) return 0.0;
-  return EstimateGroupsFromPairs(n, EstimatePairs(epsilon, metric, scale),
-                                 /*transitive=*/false);
-}
-
 double TableStats::EstimateEpsilonPairs(double epsilon,
                                         const std::string& metric,
                                         double selectivity) const {
@@ -219,28 +214,49 @@ const ColumnStats* TableStats::FindColumn(const std::string& name) const {
   return nullptr;
 }
 
-uint64_t TableStats::ColumnNdv(const std::string& name) const {
-  const ColumnStats* c = FindColumn(name);
-  return c != nullptr ? c->ndv : 0;
+namespace {
+
+/// Small, so ANALYZE's rows in flight stay far below any sensible budget.
+constexpr size_t kAnalyzeBatchRows = 64;
+
+/// One governed pass over the pin: `fn` sees every row in pinned order.
+template <typename Fn>
+void ForEachRow(engine::TableCursor& cursor, QueryContext* ctx, Fn&& fn) {
+  cursor.Restart();
+  engine::RowBatch batch(kAnalyzeBatchRows);
+  while (true) {
+    ThrowIfAborted(ctx);
+    batch.Clear();
+    if (!cursor.Next(&batch)) return;
+    const ScopedMemoryCharge charge(ctx,
+                                    engine::ApproxRowVectorBytes(batch.rows()));
+    for (const engine::Row& row : batch.rows()) fn(row);
+  }
 }
 
+}  // namespace
+
 TableStats ComputeTableStats(const std::string& name,
-                             const engine::Table& table) {
+                             const engine::TableSource& source,
+                             QueryContext* ctx) {
+  auto pinned = source.Pin();
+  if (!pinned.ok()) throw QueryAbort(pinned.status());
+  engine::TableCursor& cursor = *pinned.value();
+
   TableStats stats;
   stats.table = name;
-  stats.row_count = table.NumRows();
-  stats.analyzed_rows = table.NumRows();
+  stats.row_count = cursor.rows();
+  stats.analyzed_rows = cursor.rows();
 
-  const engine::Schema& schema = table.schema();
+  const engine::Schema& schema = source.schema();
   stats.columns.resize(schema.size());
   std::vector<DistinctSketch> sketches(schema.size());
   for (size_t i = 0; i < schema.size(); ++i) {
     stats.columns[i].name = schema.column(i).name;
   }
 
-  // Pick the grid axes: the first two columns that hold numeric data.
   uint64_t bytes = 0;
-  for (const engine::Row& row : table.rows()) {
+  ForEachRow(cursor, ctx, [&](const engine::Row& row) {
     bytes += sizeof(engine::Row) + row.size() * sizeof(engine::Value);
     for (size_t i = 0; i < row.size() && i < schema.size(); ++i) {
       const engine::Value& v = row[i];
@@ -265,13 +281,14 @@ TableStats ComputeTableStats(const std::string& name,
         col.max = std::max(col.max, d);
       }
     }
-  }
+  });
   for (size_t i = 0; i < schema.size(); ++i) {
     stats.columns[i].ndv = sketches[i].Estimate();
   }
   stats.avg_row_bytes =
-      table.NumRows() > 0 ? bytes / table.NumRows() : sizeof(engine::Row);
+      cursor.rows() > 0 ? bytes / cursor.rows() : sizeof(engine::Row);
 
+  // Pick the grid axes: the first two columns that hold numeric data.
   int gx = -1;
   int gy = -1;
   for (size_t i = 0; i < stats.columns.size(); ++i) {
@@ -290,13 +307,13 @@ TableStats ComputeTableStats(const std::string& name,
     grid.SetBounds(stats.columns[gx].min, stats.columns[gx].max,
                    stats.columns[gy].min, stats.columns[gy].max);
     DistinctSketch points;
-    for (const engine::Row& row : table.rows()) {
+    ForEachRow(cursor, ctx, [&](const engine::Row& row) {
       const engine::Value& vx = row[static_cast<size_t>(gx)];
       const engine::Value& vy = row[static_cast<size_t>(gy)];
-      if (!vx.IsNumeric() || !vy.IsNumeric()) continue;
+      if (!vx.IsNumeric() || !vy.IsNumeric()) return;
       grid.Add(vx.ToDouble(), vy.ToDouble());
       points.Add(MixHash(vx.Hash()) * 31 + vy.Hash());
-    }
+    });
     stats.point_ndv = points.Estimate();
     stats.grid = std::move(grid);
   }

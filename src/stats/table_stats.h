@@ -7,7 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/table.h"
+#include "common/query_context.h"
+#include "engine/table_source.h"
 
 namespace sgb::stats {
 
@@ -72,12 +73,6 @@ class GridHistogram {
   double EstimatePairs(double epsilon, const std::string& metric,
                        double scale = 1.0) const;
 
-  /// Expected number of ε-connected groups: n / (1 + avg ε-neighbors).
-  /// Exact for isolated points (k̄=0 ⇒ n groups) and for tight equal-size
-  /// clusters (k̄ ≈ m-1 ⇒ n/m groups); a heuristic in between.
-  double EstimateGroups(double epsilon, const std::string& metric,
-                        double scale = 1.0) const;
-
  private:
   int cells_x_ = kGrid;
   int cells_y_ = kGrid;
@@ -128,8 +123,6 @@ struct TableStats {
                                double selectivity = 1.0,
                                bool transitive = false) const;
 
-  /// NDV of one column by name (0 when unknown).
-  uint64_t ColumnNdv(const std::string& name) const;
   const ColumnStats* FindColumn(const std::string& name) const;
 };
 
@@ -147,9 +140,13 @@ using TableStatsPtr = std::shared_ptr<const TableStats>;
 ///    clusters merge, then linear once the giant component absorbs them.
 double EstimateGroupsFromPairs(double n, double pairs, bool transitive);
 
-/// Full-scan statistics build — the ANALYZE implementation.
+/// Full-scan statistics build — the ANALYZE implementation. Pins `source`
+/// once and makes two passes over the pin: ranges, null counts and sketches,
+/// then the grid histogram. The batch in flight is charged to `ctx`, checked
+/// per batch; a breach, a failed pin, or an I/O error throws QueryAbort.
 TableStats ComputeTableStats(const std::string& name,
-                             const engine::Table& table);
+                             const engine::TableSource& source,
+                             QueryContext* ctx = nullptr);
 
 }  // namespace sgb::stats
 

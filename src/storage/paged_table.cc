@@ -31,27 +31,80 @@ PagedTable::~PagedTable() {
   }
 }
 
-size_t PagedTable::ApproxBytes() const {
+size_t PagedTable::bytes() const {
   std::lock_guard<std::mutex> lock(meta_mu_);
   return rows_per_page_.size() * pool_->page_size();
 }
 
-PagedTable::ScanSnapshot PagedTable::Snapshot() const {
-  ScanSnapshot snap;
+namespace {
+
+/// A consistent snapshot — per-page record counts clamped to the published
+/// row total — decoded one page at a time into `pending_`.
+class PagedCursor final : public engine::TableCursor {
+ public:
+  PagedCursor(const PagedTable& table, size_t rows,
+              std::vector<uint32_t> rows_per_page)
+      : table_(table), rows_(rows), rows_per_page_(std::move(rows_per_page)) {}
+
+  size_t rows() const override { return rows_; }
+  bool Next(engine::RowBatch* out) override {
+    while (!out->Full()) {
+      if (pos_ >= pending_.size() && !LoadNextPage()) break;
+      out->Append(std::move(pending_[pos_++]));
+    }
+    return !out->empty();
+  }
+  void Restart() override {
+    page_ = 0;
+    pending_.clear();
+    pos_ = 0;
+  }
+
+ private:
+  /// Decodes the next non-empty page into pending_; false when the pin is
+  /// exhausted. I/O failures abort the query.
+  bool LoadNextPage() {
+    while (page_ < rows_per_page_.size()) {
+      pending_.clear();
+      pos_ = 0;
+      const Status status =
+          table_.ReadPageRows(page_, rows_per_page_[page_], &pending_);
+      if (!status.ok()) throw QueryAbort(status);
+      ++page_;
+      if (!pending_.empty()) return true;
+    }
+    return false;
+  }
+
+  const PagedTable& table_;
+  const size_t rows_;
+  const std::vector<uint32_t> rows_per_page_;
+  size_t page_ = 0;
+  std::vector<engine::Row> pending_;
+  size_t pos_ = 0;
+};
+
+}  // namespace
+
+Result<engine::TableCursorPtr> PagedTable::Pin() const {
   // Acquire-load first: every byte of every row below `rows` was written
   // before the writer's release store. The page index may already count
   // records of an in-flight statement — clamp them away.
-  snap.rows = rows_.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(meta_mu_);
-  size_t remaining = snap.rows;
-  for (uint32_t count : rows_per_page_) {
-    if (remaining == 0) break;
-    const uint32_t take = static_cast<uint32_t>(
-        std::min<size_t>(count, remaining));
-    snap.rows_per_page.push_back(take);
-    remaining -= take;
+  const size_t rows = rows_.load(std::memory_order_acquire);
+  std::vector<uint32_t> rows_per_page;
+  {
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    size_t remaining = rows;
+    for (uint32_t count : rows_per_page_) {
+      if (remaining == 0) break;
+      const uint32_t take =
+          static_cast<uint32_t>(std::min<size_t>(count, remaining));
+      rows_per_page.push_back(take);
+      remaining -= take;
+    }
   }
-  return snap;
+  return engine::TableCursorPtr(
+      std::make_unique<PagedCursor>(*this, rows, std::move(rows_per_page)));
 }
 
 PagedTable::Meta PagedTable::MetaSnapshot() const {
@@ -130,21 +183,6 @@ Status PagedTable::ReadPageRows(uint64_t page_no, uint32_t count,
   return Status::OK();
 }
 
-Result<engine::Table> PagedTable::MaterializeSnapshot() const {
-  const ScanSnapshot snap = Snapshot();
-  engine::Table table(schema_);
-  table.Reserve(snap.rows);
-  std::vector<engine::Row> rows;
-  for (size_t p = 0; p < snap.rows_per_page.size(); ++p) {
-    rows.clear();
-    SGB_RETURN_IF_ERROR(ReadPageRows(p, snap.rows_per_page[p], &rows));
-    for (engine::Row& row : rows) {
-      SGB_RETURN_IF_ERROR(table.Append(std::move(row)));
-    }
-  }
-  return table;
-}
-
 void PagedTable::RestoreMeta(std::vector<uint32_t> rows_per_page,
                              size_t rows) {
   std::lock_guard<std::mutex> lock(meta_mu_);
@@ -153,75 +191,5 @@ void PagedTable::RestoreMeta(std::vector<uint32_t> rows_per_page,
 }
 
 Status PagedTable::Flush() { return pool_->FlushSegment(seg_); }
-
-namespace {
-
-/// Volcano scan over one pinned snapshot, decoding one page at a time.
-class PagedScanOp final : public engine::Operator {
- public:
-  PagedScanOp(std::shared_ptr<const PagedTable> table,
-              const std::string& qualifier)
-      : table_(std::move(table)),
-        schema_(qualifier.empty()
-                    ? table_->schema()
-                    : table_->schema().WithQualifier(qualifier)) {}
-
-  const engine::Schema& schema() const override { return schema_; }
-  std::string name() const override { return "TableScan"; }
-  std::string label() const override {
-    return schema_.size() > 0 && !schema_.column(0).qualifier.empty()
-               ? "TableScan " + schema_.column(0).qualifier + " (paged)"
-               : std::string("TableScan (paged)");
-  }
-  size_t EstimateFootprintBytes() const override {
-    // Streams one page of decoded rows at a time, independent of table
-    // size — that is the point of the paged layout.
-    return 2 * 8192;
-  }
-
-  void OpenImpl() override {
-    snap_ = table_->Snapshot();
-    page_ = 0;
-    pending_.clear();
-    pos_ = 0;
-  }
-  bool NextBatchImpl(engine::RowBatch* out) override {
-    while (!out->Full()) {
-      if (pos_ >= pending_.size() && !LoadNextPage()) break;
-      out->Append(std::move(pending_[pos_++]));
-    }
-    return !out->empty();
-  }
-
- private:
-  /// Decodes the next non-empty page into pending_; false when the
-  /// snapshot is exhausted. I/O failures abort the query.
-  bool LoadNextPage() {
-    while (page_ < snap_.rows_per_page.size()) {
-      pending_.clear();
-      pos_ = 0;
-      const uint32_t count = snap_.rows_per_page[page_];
-      const Status status = table_->ReadPageRows(page_, count, &pending_);
-      if (!status.ok()) throw QueryAbort(status);
-      ++page_;
-      if (!pending_.empty()) return true;
-    }
-    return false;
-  }
-
-  std::shared_ptr<const PagedTable> table_;
-  engine::Schema schema_;
-  PagedTable::ScanSnapshot snap_;
-  size_t page_ = 0;
-  std::vector<engine::Row> pending_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-engine::OperatorPtr MakePagedScan(std::shared_ptr<const PagedTable> table,
-                                  const std::string& qualifier) {
-  return std::make_unique<PagedScanOp>(std::move(table), qualifier);
-}
 
 }  // namespace sgb::storage

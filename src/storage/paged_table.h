@@ -10,9 +10,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/operators.h"
 #include "engine/schema.h"
-#include "engine/table.h"
+#include "engine/table_source.h"
 #include "storage/buffer_manager.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
@@ -28,10 +27,11 @@ namespace sgb::storage {
 /// (docs/STORAGE.md "Concurrency").
 ///
 /// The page index (`rows_per_page_`) can run ahead of the published row
-/// count while a statement is mid-append; Snapshot() clamps the per-page
-/// counts down to the published total, so readers never see a torn
-/// statement.
-class PagedTable {
+/// count while a statement is mid-append; Pin() clamps the per-page counts
+/// down to the published total, so readers never see a torn statement.
+/// Its cursors stream one page at a time through the pool, so a table
+/// larger than the pool scans in constant memory.
+class PagedTable final : public engine::TableSource {
  public:
   /// Co-owns `pool` (scans may hold a PagedTablePtr past the engine's
   /// lifetime, so the pool must survive until the last table dies); the
@@ -46,7 +46,12 @@ class PagedTable {
   PagedTable& operator=(const PagedTable&) = delete;
 
   const std::string& name() const { return name_; }
-  const engine::Schema& schema() const { return schema_; }
+  const engine::Schema& schema() const override { return schema_; }
+  engine::TableKind kind() const override { return engine::TableKind::kPaged; }
+  /// Approximate on-disk bytes (pages * page size).
+  size_t bytes() const override;
+  /// Pins the published row count with its per-page record counts.
+  Result<engine::TableCursorPtr> Pin() const override;
   uint64_t table_id() const { return table_id_; }
   uint32_t segment() const { return seg_; }
   PageFile* file() { return file_.get(); }
@@ -56,17 +61,6 @@ class PagedTable {
   size_t SnapshotRows() const {
     return rows_.load(std::memory_order_acquire);
   }
-
-  /// Approximate on-disk bytes (pages * page size), for system.tables.
-  size_t ApproxBytes() const;
-
-  /// A consistent scan snapshot: per-page record counts clamped to the
-  /// published row total (sum(rows_per_page) == rows).
-  struct ScanSnapshot {
-    size_t rows = 0;
-    std::vector<uint32_t> rows_per_page;
-  };
-  ScanSnapshot Snapshot() const;
 
   /// Page/row metadata for the checkpoint manifest. Only meaningful while
   /// the caller holds the engine's mutation lock (no writer mid-statement).
@@ -88,9 +82,6 @@ class PagedTable {
   /// Safe concurrently with a writer appending beyond `count`.
   Status ReadPageRows(uint64_t page_no, uint32_t count,
                       std::vector<engine::Row>* out) const;
-
-  /// Copies the snapshot into a plain immutable Table (Catalog::Get).
-  Result<engine::Table> MaterializeSnapshot() const;
 
   /// Recovery seeds the page index after validating/trimming the segment.
   void RestoreMeta(std::vector<uint32_t> rows_per_page, size_t rows);
@@ -124,13 +115,6 @@ class PagedTable {
 };
 
 using PagedTablePtr = std::shared_ptr<PagedTable>;
-
-/// Snapshot scan streaming pages through the buffer pool one at a time —
-/// a table larger than the pool scans in constant memory. Reports name()
-/// "TableScan" like the other scans so rows_in accounting, EXPLAIN, and
-/// the cost model stay uniform. I/O failures surface as QueryAbort.
-engine::OperatorPtr MakePagedScan(std::shared_ptr<const PagedTable> table,
-                                  const std::string& qualifier = "");
 
 }  // namespace sgb::storage
 

@@ -1,11 +1,13 @@
 // Tests for DDL-created append-only tables (docs/SERVER.md "Snapshot
 // semantics"): CREATE/INSERT/DROP through SQL, validation and coercion,
 // snapshot pinning at scan open, and statement-atomic visibility under
-// concurrent writers.
+// concurrent writers — the last for both writable kinds, append-only and
+// paged.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -99,7 +101,7 @@ TEST(AppendTableTest, ScanPinsItsSnapshotAtOpen) {
 
   AppendTablePtr table = db.catalog().FindAppendable("feed");
   ASSERT_NE(table, nullptr);
-  OperatorPtr scan = MakeAppendScan(table, "");
+  OperatorPtr scan = MakeTableScan(table, "");
   scan->Open();
 
   // Rows appended after Open are invisible to this scan...
@@ -116,8 +118,22 @@ TEST(AppendTableTest, ScanPinsItsSnapshotAtOpen) {
   EXPECT_EQ(scanned, 3u);
 }
 
-TEST(AppendTableTest, ConcurrentReadersSeeOnlyWholeInserts) {
-  Database db;
+/// Parameter: whether the Database is disk-backed, making CREATE TABLE
+/// build a paged table instead of an append-only one.
+class AppendTableTest : public ::testing::TestWithParam<bool> {
+ protected:
+  Database OpenDatabase() {
+    if (!GetParam()) return Database();
+    const std::string dir = ::testing::TempDir() + "/sgb_concurrent_readers";
+    std::filesystem::remove_all(dir);
+    auto db = Database::Open(dir);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return std::move(db).value();
+  }
+};
+
+TEST_P(AppendTableTest, ConcurrentReadersSeeOnlyWholeInserts) {
+  Database db = OpenDatabase();
   ASSERT_TRUE(db.Query("CREATE TABLE stream (v INT)").ok());
 
   // One writer appends 10-row statements; readers must only ever observe
@@ -159,6 +175,11 @@ TEST(AppendTableTest, ConcurrentReadersSeeOnlyWholeInserts) {
   ASSERT_TRUE(final_count.ok());
   EXPECT_EQ(final_count.value().rows()[0][0].AsInt(), kBatches * 10);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, AppendTableTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Paged" : "InMemory";
+                         });
 
 }  // namespace
 }  // namespace sgb::engine

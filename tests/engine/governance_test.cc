@@ -325,7 +325,9 @@ TEST_F(GovernanceTest, EveryRegisteredFaultSiteFiresAndRecovers) {
        [&csv_path](Database&) { return ReadCsvFile(csv_path).status(); }},
       {"engine.csv.write", Status::Code::kIoError,
        [&csv_path](Database& db) {
-         return WriteCsvFile(*db.catalog().Get("pts").value(), csv_path);
+         auto pts = db.Query("SELECT * FROM pts");
+         if (!pts.ok()) return pts.status();
+         return WriteCsvFile(pts.value(), csv_path);
        }},
       {"index.grid.build", Status::Code::kInternal,
        [](Database& db) { return db.Query(kSgbParallelQuery).status(); }},
@@ -485,7 +487,7 @@ TEST_F(GovernanceTest, EveryRegisteredFaultSiteFiresAndRecovers) {
   RegisterIntsTable(db);
   // Seed the CSV file so the read-fault trigger exercises a real read path.
   ASSERT_TRUE(
-      WriteCsvFile(*db.catalog().Get("pts").value(), csv_path).ok());
+      WriteCsvFile(db.Query("SELECT * FROM pts").value(), csv_path).ok());
   const size_t engine_before = MemoryTracker::EngineGlobal().usage_bytes();
 
   for (const FaultCase& c : cases) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "engine/catalog.h"
+#include "engine/executor.h"
 #include "engine/table.h"
 
 namespace sgb::engine {
@@ -74,13 +78,52 @@ TEST(CatalogTest, RegisterAndLookup) {
   auto t = std::make_shared<Table>(
       Schema({Column{"x", DataType::kInt64, ""}}));
   catalog.Register("MyTable", t);
-  EXPECT_TRUE(catalog.Contains("mytable"));
-  EXPECT_TRUE(catalog.Contains("MYTABLE"));
-  EXPECT_TRUE(catalog.Get("myTABLE").ok());
-  EXPECT_FALSE(catalog.Get("other").ok());
-  EXPECT_EQ(catalog.Get("other").status().code(),
-            Status::Code::kNotFound);
+  auto found = catalog.Find("myTABLE");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(found.value()->kind(), TableKind::kTable);
+  EXPECT_EQ(catalog.Find("other").status().code(), Status::Code::kNotFound);
   EXPECT_EQ(catalog.TableNames().size(), 1u);
+}
+
+// One name, one entry: registering over a system or paged table is
+// refused, so a lookup can never find two tables under the same name.
+TEST(CatalogTest, RegisterNeverReplacesSystemOrPagedTables) {
+  Database db;
+  auto t = std::make_shared<Table>(Schema({Column{"x", DataType::kInt64, ""}}));
+  ASSERT_TRUE(t->Append({Value::Int(1)}).ok());
+  const Status status = db.Register("system.sessions", t);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+      << status.ToString();
+
+  auto listed = db.Query(
+      "SELECT kind FROM system.tables WHERE name = 'system.sessions'");
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed.value().NumRows(), 1u);
+  EXPECT_EQ(listed.value().rows()[0][0].AsString(), "system");
+  auto sessions = db.Query("SELECT * FROM system.sessions");
+  ASSERT_TRUE(sessions.ok()) << sessions.status().ToString();
+  EXPECT_GT(sessions.value().schema().size(), 1u);
+
+  const std::string dir = ::testing::TempDir() + "/sgb_catalog_one_name";
+  std::filesystem::remove_all(dir);
+  auto disk = Database::Open(dir);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_TRUE(disk.value().Query("CREATE TABLE disky (x INT)").ok());
+  EXPECT_EQ(disk.value().Register("disky", t).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_NE(disk.value().Query("SELECT kind FROM system.tables "
+                               "WHERE name = 'disky'")
+                .value()
+                .ToString()
+                .find("paged"),
+            std::string::npos);
+
+  // Replacing a stored or append-only table still works.
+  EXPECT_TRUE(db.Register("plain", t).ok());
+  EXPECT_TRUE(db.Register("plain", t).ok());
+  ASSERT_TRUE(db.Query("CREATE TABLE grows (x INT)").ok());
+  EXPECT_TRUE(db.Register("grows", t).ok());
+  EXPECT_EQ(db.catalog().FindAppendable("grows"), nullptr);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(OutOfCoreTest, TableLargerThanPoolMatchesInMemoryDatabase) {
     // The table genuinely exceeds the pool.
     storage::PagedTablePtr paged = disk.value().storage()->Find("pts");
     ASSERT_NE(paged, nullptr);
-    EXPECT_GT(paged->ApproxBytes(), TinyPool().buffer_pool_bytes * 4)
+    EXPECT_GT(paged->bytes(), TinyPool().buffer_pool_bytes * 4)
         << "grow the workload: the out-of-core gate is not exercised";
 
     for (const char* sql : {
@@ -104,6 +104,33 @@ TEST(OutOfCoreTest, TableLargerThanPoolMatchesInMemoryDatabase) {
     const auto stats = disk.value().storage()->buffer_stats();
     EXPECT_GT(stats.evictions, 0u);
     EXPECT_LE(stats.resident_pages, stats.capacity_pages);
+
+    // ANALYZE streams the paged table to the same statistics the in-memory
+    // table gets (rows arrive in the same order)...
+    ASSERT_TRUE(disk.value().Query("ANALYZE pts").ok());
+    ASSERT_TRUE(memory.Query("ANALYZE pts").ok());
+    const char* kStats = "SELECT * FROM system.stats";
+    EXPECT_EQ(Csv(disk.value().Query(kStats)), Csv(memory.Query(kStats)));
+
+    // ...and under a session budget smaller than the table it still runs,
+    // its tracked peak (the rows in flight) inside the budget: it never
+    // loads the table into memory.
+    const size_t budget = paged->bytes() / 2;
+    ASSERT_TRUE(disk.value()
+                    .Query("SET memory_budget = " + std::to_string(budget))
+                    .ok());
+    ASSERT_TRUE(disk.value().Query("ANALYZE pts").ok());
+    ASSERT_TRUE(disk.value().Query("SET memory_budget = 0").ok());
+    auto logged = disk.value().Query(
+        "SELECT status, peak_memory_bytes FROM system.query_log "
+        "WHERE query = 'ANALYZE pts'");
+    ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+    ASSERT_EQ(logged.value().NumRows(), 2u);
+    const Row& governed = logged.value().rows()[1];
+    EXPECT_EQ(governed[0].AsString(), "ok");
+    EXPECT_GT(governed[1].AsInt(), 0);
+    EXPECT_LE(governed[1].AsInt(), static_cast<int64_t>(budget))
+        << "table bytes " << paged->bytes();
   }
 }
 
@@ -127,11 +154,24 @@ TEST(PagedTableTest, RowsComeBackInInsertionOrderAcrossPages) {
               static_cast<int64_t>(i));
   }
 
-  // Catalog::Get materializes the same snapshot the scan streams.
-  auto materialized = db.value().storage()->Find("seq")->MaterializeSnapshot();
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  EXPECT_EQ(WriteCsvToString(materialized.value()),
-            WriteCsvToString(result.value()));
+  // A restarted cursor streams the same pinned rows in the same order.
+  auto pinned = db.value().storage()->Find("seq")->Pin();
+  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+  TableCursor& cursor = *pinned.value();
+  ASSERT_EQ(cursor.rows(), 200u);
+  ASSERT_TRUE(db.value().Query("INSERT INTO seq VALUES (200)").ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    cursor.Restart();
+    RowBatch batch(7);  // batches straddle page boundaries
+    size_t next = 0;
+    while (cursor.Next(&batch)) {
+      for (const Row& row : batch.rows()) {
+        ASSERT_EQ(row[0].AsInt(), static_cast<int64_t>(next++));
+      }
+      batch.Clear();
+    }
+    EXPECT_EQ(next, 200u);
+  }
 }
 
 TEST(PagedTableTest, DropTableUnlinksSegmentFile) {
