@@ -86,7 +86,8 @@ void RegisterAll() {
   const AlgoRow algos[] = {
       {"AllPairs", SgbAllAlgorithm::kAllPairs},
       {"BoundsChecking", SgbAllAlgorithm::kBoundsChecking},
-      {"Index", SgbAllAlgorithm::kIndexed},
+      // The paper's Groups_IX R-tree (Procedure 5), not the engine's grid.
+      {"Index", SgbAllAlgorithm::kGroupsIndex},
   };
   for (const auto& row : rows) {
     for (const auto& algo : algos) {

@@ -56,7 +56,7 @@ int main() {
   const std::pair<const char*, SgbAllAlgorithm> algos[] = {
       {"All-Pairs", SgbAllAlgorithm::kAllPairs},
       {"Bounds-Checking", SgbAllAlgorithm::kBoundsChecking},
-      {"on-the-fly Index", SgbAllAlgorithm::kIndexed},
+      {"on-the-fly Index", SgbAllAlgorithm::kGroupsIndex},
   };
   const std::pair<const char*, OverlapClause> clauses[] = {
       {"JOIN-ANY", OverlapClause::kJoinAny},

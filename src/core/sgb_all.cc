@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "common/fault_injection.h"
@@ -11,14 +12,18 @@
 #include "geom/epsilon_rect.h"
 #include "geom/kernels.h"
 #include "index/grid_partition.h"
+#include "index/group_grid.h"
 #include "index/rtree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace sgb::core {
 
-// Fires when a round commits to building its Groups_IX R-tree, exercising
-// index-construction failure inside the core.
+// Fire when a round commits to building its Groups_IX — the grid of the
+// kIndexed tier, or the R-tree of the kGroupsIndex reference tier —
+// exercising index-construction failure inside the core.
+static FaultSite g_group_grid_build_fault("core.group_grid.build",
+                                          Status::Code::kInternal);
 static FaultSite g_rtree_build_fault("core.rtree.build",
                                      Status::Code::kInternal);
 
@@ -89,7 +94,11 @@ class SgbAllRunner {
         options_(options),
         block_sim_(options.metric, options.epsilon),
         stats_(stats),
+        grid_(options.query_ctx),
         assignment_(assignment) {}
+
+  /// The runner's similarity kernels, with the calls of every Run so far.
+  const geom::BlockSimilarity& similarity() const { return block_sim_; }
 
   /// `todo` must be sorted ascending (canonical order).
   void Run(std::vector<size_t> todo) {
@@ -149,22 +158,19 @@ class SgbAllRunner {
     g.members.push_back(point_index);
     g.soa.PushBack(points_[point_index]);
     groups_.push_back(std::move(g));
-    if (use_index_) groups_ix_.Insert(groups_[gid].rect.all_rect(), gid);
+    IndexInsert(gid);
     if (stats_ != nullptr) ++stats_->groups_created;
     return gid;
   }
 
   void InsertIntoGroup(size_t gid, size_t point_index) {
     Group& g = groups_[gid];
-    const Rect old_rect = g.rect.all_rect();
+    const Rect before = IndexKey(g);
     g.members.push_back(point_index);
     g.soa.PushBack(points_[point_index]);
     g.rect.Insert(points_[point_index]);
     if (L2()) g.hull.Insert(points_[point_index]);
-    if (use_index_ && !(g.rect.all_rect() == old_rect)) {
-      groups_ix_.Remove(old_rect, gid);
-      groups_ix_.Insert(g.rect.all_rect(), gid);
-    }
+    IndexMove(gid, before);
   }
 
   /// Removes the given members (already erased from g.members by the
@@ -172,10 +178,10 @@ class SgbAllRunner {
   /// group when it became empty.
   void RebuildAfterRemoval(size_t gid) {
     Group& g = groups_[gid];
-    const Rect old_rect = g.rect.all_rect();
+    const Rect before = IndexKey(g);
     if (g.members.empty()) {
       g.alive = false;
-      if (use_index_) groups_ix_.Remove(old_rect, gid);
+      IndexRemove(gid, before);
       return;
     }
     std::vector<Point> pts;
@@ -187,10 +193,63 @@ class SgbAllRunner {
     }
     g.rect.Rebuild(pts);
     if (L2()) g.hull.Rebuild(pts);
-    if (use_index_ && !(g.rect.all_rect() == old_rect)) {
-      groups_ix_.Remove(old_rect, gid);
-      groups_ix_.Insert(g.rect.all_rect(), gid);
+    IndexMove(gid, before);
+  }
+
+  // ---- Groups_IX ----------------------------------------------------------
+  //
+  // The one seam between the two index tiers: kIndexed keeps the group grid
+  // over member MBRs, kGroupsIndex the paper's R-tree over ε-All
+  // rectangles. Either lists a superset of the groups ClassifyGroup can
+  // accept for a probe; the other tiers keep no index.
+
+  /// The rectangle a group is indexed under.
+  const Rect& IndexKey(const Group& g) const {
+    return options_.algorithm == SgbAllAlgorithm::kGroupsIndex
+               ? g.rect.all_rect()
+               : g.rect.mbr();
+  }
+
+  void IndexInsert(size_t gid) {
+    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+      grid_.Insert(IndexKey(groups_[gid]), gid);
+    } else if (options_.algorithm == SgbAllAlgorithm::kGroupsIndex) {
+      groups_ix_.Insert(IndexKey(groups_[gid]), gid);
     }
+  }
+
+  /// Re-indexes a live group whose key was `before`.
+  void IndexMove(size_t gid, const Rect& before) {
+    const Rect& after = IndexKey(groups_[gid]);
+    if (after == before) return;
+    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+      grid_.Move(before, after, gid);
+    } else if (options_.algorithm == SgbAllAlgorithm::kGroupsIndex) {
+      groups_ix_.Remove(before, gid);
+      groups_ix_.Insert(after, gid);
+    }
+  }
+
+  /// Unindexes a retired group whose key was `before`.
+  void IndexRemove(size_t gid, const Rect& before) {
+    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+      grid_.Remove(before, gid);
+    } else if (options_.algorithm == SgbAllAlgorithm::kGroupsIndex) {
+      groups_ix_.Remove(before, gid);
+    }
+  }
+
+  /// Appends the probe's group ids to gids_ (unsorted, possibly repeated);
+  /// false when the index cannot bound them.
+  bool IndexProbe(const Point& p) {
+    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+      return grid_.Probe(p, &gids_);
+    }
+    groups_ix_.Search(Rect::Around(p, options_.epsilon),
+                      [this](const Rect&, uint64_t gid) {
+                        gids_.push_back(static_cast<size_t>(gid));
+                      });
+    return true;
   }
 
   // ---- FindCloseGroups (Procedures 2, 4, 5) -----------------------------
@@ -247,18 +306,22 @@ class SgbAllRunner {
     }
   }
 
+  /// Procedure 5 over either Groups_IX. The probe's groups are sorted so
+  /// candidate/overlap enumeration order — and therefore the JOIN-ANY pick
+  /// — matches the scan-based strategies exactly.
   void FindCloseGroupsIndexed(const Point& p, OverlapClause clause,
                               std::vector<size_t>* candidates,
                               std::vector<size_t>* overlaps) {
     if (stats_ != nullptr) ++stats_->index_window_queries;
-    std::vector<uint64_t> gids =
-        groups_ix_.SearchIds(Rect::Around(p, options_.epsilon));
-    // Sort so candidate/overlap enumeration order — and therefore the
-    // JOIN-ANY pick — matches the scan-based strategies exactly.
-    std::sort(gids.begin(), gids.end());
-    for (const uint64_t gid : gids) {
-      ClassifyGroup(static_cast<size_t>(gid), p, clause, candidates,
-                    overlaps);
+    gids_.clear();
+    if (!IndexProbe(p)) {
+      FindCloseGroupsBounds(p, clause, candidates, overlaps);
+      return;
+    }
+    std::sort(gids_.begin(), gids_.end());
+    gids_.erase(std::unique(gids_.begin(), gids_.end()), gids_.end());
+    for (const size_t gid : gids_) {
+      ClassifyGroup(gid, p, clause, candidates, overlaps);
     }
   }
 
@@ -275,6 +338,7 @@ class SgbAllRunner {
         FindCloseGroupsBounds(p, clause, candidates, overlaps);
         break;
       case SgbAllAlgorithm::kIndexed:
+      case SgbAllAlgorithm::kGroupsIndex:
         FindCloseGroupsIndexed(p, clause, candidates, overlaps);
         break;
     }
@@ -286,15 +350,13 @@ class SgbAllRunner {
   void ProcessPoint(size_t point_index, OverlapClause clause,
                     std::vector<size_t>* deferred) {
     const Point& p = points_[point_index];
-    std::vector<size_t> candidates;
-    std::vector<size_t> overlaps;
-    FindCloseGroups(p, clause, &candidates, &overlaps);
+    FindCloseGroups(p, clause, &candidates_, &overlaps_);
 
     // ProcessGroupingALL.
-    if (candidates.empty()) {
+    if (candidates_.empty()) {
       CreateGroup(point_index);
-    } else if (candidates.size() == 1) {
-      InsertIntoGroup(candidates[0], point_index);
+    } else if (candidates_.size() == 1) {
+      InsertIntoGroup(candidates_[0], point_index);
     } else {
       switch (clause) {
         case OverlapClause::kJoinAny: {
@@ -306,8 +368,8 @@ class SgbAllRunner {
                   : static_cast<size_t>(
                         options_.arbitration_keys[point_index]);
           const size_t pick =
-              JoinAnyPick(options_.seed, arb, candidates.size());
-          InsertIntoGroup(candidates[pick], point_index);
+              JoinAnyPick(options_.seed, arb, candidates_.size());
+          InsertIntoGroup(candidates_[pick], point_index);
           break;
         }
         case OverlapClause::kEliminate:
@@ -321,8 +383,8 @@ class SgbAllRunner {
 
     // ProcessOverlap: pull the overlapped members (those within ε of p) out
     // of partially-matching groups.
-    if (clause == OverlapClause::kJoinAny || overlaps.empty()) return;
-    for (const size_t gid : overlaps) {
+    if (clause == OverlapClause::kJoinAny || overlaps_.empty()) return;
+    for (const size_t gid : overlaps_) {
       Group& g = groups_[gid];
       // One block scan partitions the members; the split walks them in
       // member order, matching the historical per-member loop exactly.
@@ -356,11 +418,14 @@ class SgbAllRunner {
   std::vector<size_t> RunRound(const std::vector<size_t>& todo,
                                OverlapClause clause) {
     groups_.clear();
-    groups_ix_ = index::RTree();
-    use_index_ = options_.algorithm == SgbAllAlgorithm::kIndexed;
-    if (use_index_) {
+    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+      Status fault = g_group_grid_build_fault.Check();
+      if (!fault.ok()) throw QueryAbort(std::move(fault));
+      grid_.Reset(options_.epsilon);
+    } else if (options_.algorithm == SgbAllAlgorithm::kGroupsIndex) {
       Status fault = g_rtree_build_fault.Check();
       if (!fault.ok()) throw QueryAbort(std::move(fault));
+      groups_ix_ = index::RTree();
     }
 
     std::vector<size_t> deferred;
@@ -385,11 +450,16 @@ class SgbAllRunner {
   const SgbAllOptions& options_;
   geom::BlockSimilarity block_sim_;
   SgbAllStats* stats_;
-  std::vector<uint64_t> mask_;  // kernel selection-mask scratch
+  // Per-point scratch: kernel selection mask, FindCloseGroups' outputs and
+  // the index probe's group ids.
+  std::vector<uint64_t> mask_;
+  std::vector<size_t> candidates_;
+  std::vector<size_t> overlaps_;
+  std::vector<size_t> gids_;
 
   std::vector<Group> groups_;
-  index::RTree groups_ix_;
-  bool use_index_ = false;
+  index::GroupGrid grid_;   // kIndexed
+  index::RTree groups_ix_;  // kGroupsIndex
 
   std::vector<size_t>& assignment_;
   size_t next_local_group_ = 0;
@@ -402,6 +472,8 @@ Grouping RunSerial(std::span<const Point> points,
   for (size_t i = 0; i < universe.size(); ++i) universe[i] = i;
   SgbAllRunner runner(points, options, stats, assignment);
   runner.Run(std::move(universe));
+  stats->kernel_calls += runner.similarity().calls();
+  stats->kernel_pairs += runner.similarity().pairs();
   return CanonicalizeLabels(points.size(), assignment, nullptr);
 }
 
@@ -447,6 +519,10 @@ Grouping RunParallel(std::span<const Point> points,
   std::vector<size_t> assignment(n, Grouping::kEliminated);
   std::vector<SgbAllStats> slot_stats(dop);
   std::vector<size_t> slot_points(dop, 0);
+  // One runner per worker slot, reused for every component the slot runs
+  // (its scratch and group grid keep their capacity); local group ids stay
+  // unique per (component, id) pair, as CanonicalizeLabels requires.
+  std::vector<std::optional<SgbAllRunner>> runners(dop);
   // Worker spans need an explicit parent: ParallelFor workers run on pool
   // threads with no open-span stack of their own.
   obs::QueryTrace* trace =
@@ -462,9 +538,11 @@ Grouping RunParallel(std::span<const Point> points,
           const std::vector<size_t>& members = comp_members[comp_order[k]];
           slot_points[slot] += members.size();
           worker_points += members.size();
-          SgbAllRunner runner(points, options, &slot_stats[slot],
-                              assignment);
-          runner.Run(members);
+          if (!runners[slot].has_value()) {
+            runners[slot].emplace(points, options, &slot_stats[slot],
+                                  assignment);
+          }
+          runners[slot]->Run(members);
         }
         worker_span.AddAttribute("components",
                                  static_cast<double>(end - begin));
@@ -475,6 +553,12 @@ Grouping RunParallel(std::span<const Point> points,
 
   if (stats != nullptr) {
     for (size_t w = 0; w < dop; ++w) {
+      if (runners[w].has_value()) {
+        stats->kernel_calls += runners[w]->similarity().calls();
+        stats->kernel_pairs += runners[w]->similarity().pairs();
+      }
+      stats->kernel_calls += grid_stats[w].kernel_calls;
+      stats->kernel_pairs += grid_stats[w].kernel_pairs;
       stats->distance_computations +=
           slot_stats[w].distance_computations +
           grid_stats[w].distance_computations;
@@ -545,6 +629,7 @@ Result<Grouping> SgbAll(std::span<const Point> points,
       .Add(stats->index_window_queries);
   registry.GetCounter("sgb.all.groups_created").Add(stats->groups_created);
   registry.GetCounter("sgb.all.regroup_rounds").Add(stats->regroup_rounds);
+  geom::PublishKernelCounts(stats->kernel_calls, stats->kernel_pairs);
   if (parallel) {
     registry.GetCounter("sgb.all.parallel_runs").Add(1);
     registry.GetCounter("sgb.all.parallel_components")

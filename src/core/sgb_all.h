@@ -19,6 +19,8 @@ struct SgbAllStats {
   size_t index_window_queries = 0;   ///< Groups_IX window queries
   size_t groups_created = 0;
   size_t regroup_rounds = 0;  ///< FORM-NEW-GROUP recursion depth (paper's m)
+  size_t kernel_calls = 0;    ///< block-kernel calls (sgb.kernel.invocations)
+  size_t kernel_pairs = 0;    ///< point pairs those calls evaluated
   /// Parallel runs only: number of independent ε-components and the
   /// per-worker-slot breakdown (aggregate counters above always include
   /// every worker).

@@ -66,6 +66,10 @@ Grouping RunAllPairs(std::span<const Point> points,
       forest.Union(i, j);
     });
   }
+  if (stats != nullptr) {
+    stats->kernel_calls += sim.calls();
+    stats->kernel_pairs += sim.pairs();
+  }
   return LabelComponents(points, forest);
 }
 
@@ -120,6 +124,8 @@ Grouping RunGrid(std::span<const Point> points, const SgbAnyOptions& options,
   for (const index::GridPartitionStats& w : grid_stats) {
     stats->distance_computations += w.distance_computations;
     stats->union_operations += w.union_operations + w.boundary_edges;
+    stats->kernel_calls += w.kernel_calls;
+    stats->kernel_pairs += w.kernel_pairs;
     if (w.cells > 0) ++partitions;
     if (dop > 1) {
       SgbWorkerStats worker;
@@ -190,6 +196,7 @@ Result<Grouping> SgbAny(std::span<const Point> points,
   registry.GetCounter("sgb.any.union_operations")
       .Add(stats->union_operations);
   registry.GetCounter("sgb.any.group_merges").Add(stats->group_merges);
+  geom::PublishKernelCounts(stats->kernel_calls, stats->kernel_pairs);
   if (parallel) {
     registry.GetCounter("sgb.any.parallel_runs").Add(1);
     registry.GetCounter("sgb.any.parallel_partitions")

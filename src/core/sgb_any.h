@@ -16,6 +16,8 @@ struct SgbAnyStats {
   size_t index_window_queries = 0;
   size_t union_operations = 0;
   size_t group_merges = 0;  ///< unions that actually merged two groups
+  size_t kernel_calls = 0;  ///< block-kernel calls (sgb.kernel.invocations)
+  size_t kernel_pairs = 0;  ///< point pairs those calls evaluated
   /// Parallel runs only: number of grid partitions and the per-worker-slot
   /// breakdown (aggregate counters above always include every worker).
   size_t parallel_partitions = 0;

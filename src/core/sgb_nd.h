@@ -28,9 +28,9 @@ namespace sgb::core {
 /// O(log |g|) per rectangle-passing group. L∞ keeps the O(1) exact
 /// rectangle test. DESIGN.md discusses the trade-off.
 ///
-/// Header-only (templates); `SgbAllAlgorithm::kBoundsChecking` and
-/// `kIndexed` differ only in how candidate groups are enumerated, exactly
-/// as in 2-D.
+/// Header-only (templates); `SgbAllAlgorithm::kBoundsChecking` and the
+/// index tiers differ only in how candidate groups are enumerated, as in
+/// 2-D. `kIndexed` and `kGroupsIndex` both run an R-tree Groups_IX here.
 namespace nd_internal {
 
 /// ε-All bounding box + member MBR in D dimensions (Definition 5 lifted).
@@ -239,7 +239,7 @@ class SgbAllRunnerN {
       }
       return;
     }
-    if (options_.algorithm == SgbAllAlgorithm::kIndexed) {
+    if (use_index_) {
       if (stats_ != nullptr) ++stats_->index_window_queries;
       std::vector<uint64_t> gids =
           groups_ix_.SearchIds(Rect::Around(p, options_.epsilon));
@@ -312,7 +312,9 @@ class SgbAllRunnerN {
                                OverlapClause clause) {
     groups_.clear();
     groups_ix_ = index::RTreeN<D>();
-    use_index_ = options_.algorithm == SgbAllAlgorithm::kIndexed;
+    // Both index tiers run the R-tree Groups_IX in N-D.
+    use_index_ = options_.algorithm == SgbAllAlgorithm::kIndexed ||
+                 options_.algorithm == SgbAllAlgorithm::kGroupsIndex;
 
     std::vector<size_t> deferred;
     for (const size_t point_index : todo) {

@@ -21,6 +21,8 @@ const char* ToString(SgbAllAlgorithm algorithm) {
     case SgbAllAlgorithm::kBoundsChecking:
       return "Bounds-Checking";
     case SgbAllAlgorithm::kIndexed:
+      return "group grid";
+    case SgbAllAlgorithm::kGroupsIndex:
       return "on-the-fly Index";
   }
   return "?";

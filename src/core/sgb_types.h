@@ -22,11 +22,18 @@ enum class OverlapClause {
   kFormNewGroup,  ///< re-group the overlapping point(s) separately
 };
 
-/// Algorithm tier for SGB-All (Sections 6.2–6.3).
+/// Algorithm tier for SGB-All (Sections 6.2–6.3). Every tier yields the
+/// same grouping; kIndexed and kGroupsIndex classify exactly the groups
+/// Bounds-Checking does, found through an index instead of a scan.
 enum class SgbAllAlgorithm {
   kAllPairs,        ///< Procedure 2: naive FindCloseGroups, O(n^2)
   kBoundsChecking,  ///< Procedure 4: ε-All rectangles, linear group scan
-  kIndexed,         ///< Procedure 5: R-tree (Groups_IX) over group rectangles
+  /// Procedure 5 on a cell grid over group member MBRs
+  /// (index::GroupGrid), at every dop: the engine's tier.
+  kIndexed,
+  /// Procedure 5 as published: an R-tree (Groups_IX) over the ε-All
+  /// rectangles. The reference tier for Figures 9/10 and Table 1.
+  kGroupsIndex,
 };
 
 /// Algorithm tier for SGB-Any (Section 7).

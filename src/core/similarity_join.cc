@@ -34,7 +34,7 @@ std::vector<JoinPair> JoinNestedLoop(std::span<const Point> left,
   // order (and the same |L|x|R| distance count) as the scalar loop.
   geom::PointColumns cols;
   cols.Assign(right);
-  const geom::BlockSimilarity sim(metric, epsilon);
+  geom::BlockSimilarity sim(metric, epsilon);
   std::vector<uint64_t> mask(geom::KernelMaskWords(right.size()));
   for (size_t l = 0; l < left.size(); ++l) {
     if (stats != nullptr) stats->distance_computations += right.size();
@@ -42,6 +42,7 @@ std::vector<JoinPair> JoinNestedLoop(std::span<const Point> left,
     geom::ForEachSetBit(mask.data(), right.size(),
                         [&](size_t r) { out.push_back(JoinPair{l, r}); });
   }
+  geom::PublishKernelCounts(sim.calls(), sim.pairs());
   return out;
 }
 
@@ -105,7 +106,7 @@ Result<std::vector<JoinPair>> SimilaritySelfJoin(
     // to j = i + 1 + b, keeping the scalar loop's pair order and count.
     geom::PointColumns cols;
     cols.Assign(points);
-    const geom::BlockSimilarity sim(metric, epsilon);
+    geom::BlockSimilarity sim(metric, epsilon);
     std::vector<uint64_t> mask(geom::KernelMaskWords(points.size()));
     for (size_t i = 0; i < points.size(); ++i) {
       const size_t suffix = points.size() - i - 1;
@@ -116,6 +117,7 @@ Result<std::vector<JoinPair>> SimilaritySelfJoin(
         out.push_back(JoinPair{i, i + 1 + b});
       });
     }
+    geom::PublishKernelCounts(sim.calls(), sim.pairs());
     return out;
   }
   // Streaming variant of the SGB-Any access pattern: probe processed

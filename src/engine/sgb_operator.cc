@@ -162,11 +162,9 @@ class SgbOperatorBase : public Operator {
     std::vector<size_t> group_of;
     {
       // The grouping phase is the operator's hot core; it gets its own
-      // trace span with the group count, memory delta, and SIMD kernel
-      // invocations attached (PROFILE's mem_bytes/kernels columns).
-      auto& kernel_counter = obs::MetricsRegistry::Global().GetCounter(
-          "sgb.kernel.invocations");
-      const uint64_t kernels_before = kernel_counter.value();
+      // trace span with the group count, memory delta, and the run's SIMD
+      // kernel invocations attached (PROFILE's mem_bytes/kernels columns).
+      kernel_calls_ = 0;
       const size_t mem_before =
           query_context() != nullptr ? query_context()->memory().usage_bytes()
                                      : 0;
@@ -187,9 +185,7 @@ class SgbOperatorBase : public Operator {
         group_of = LabelPoints(row_count, &num_groups);
       }
       group_span.AddAttribute("groups", static_cast<double>(num_groups));
-      group_span.AddAttribute(
-          "kernels",
-          static_cast<double>(kernel_counter.value() - kernels_before));
+      group_span.AddAttribute("kernels", static_cast<double>(kernel_calls_));
       if (query_context() != nullptr) {
         group_span.AddAttribute(
             "mem_bytes",
@@ -271,6 +267,10 @@ class SgbOperatorBase : public Operator {
   virtual size_t PointBytes() const = 0;
   virtual std::vector<size_t> LabelPoints(size_t num_rows,
                                           size_t* num_groups) = 0;
+
+  /// Block-kernel calls of this execution's grouping core, which
+  /// LabelPoints adds up (the "kernels" attribute of the sgb.group span).
+  size_t kernel_calls_ = 0;
 
  private:
   /// Span sink for this execution (null when untraced).
@@ -355,6 +355,7 @@ class SgbOperator2d final : public SgbOperatorBase {
       core::SgbAllStats core_stats;
       Result<core::Grouping> r = core::SgbAll(points_, opts, &core_stats);
       PublishSgbAllStats(core_stats, &mutable_stats());
+      kernel_calls_ += core_stats.kernel_calls;
       // Options are validated at plan time, so a non-OK result here is a
       // governance abort (cancel/deadline/budget/fault) from the core.
       if (!r.ok()) throw QueryAbort(r.status());
@@ -365,6 +366,7 @@ class SgbOperator2d final : public SgbOperatorBase {
       core::SgbAnyStats core_stats;
       Result<core::Grouping> r = core::SgbAny(points_, opts, &core_stats);
       PublishSgbAnyStats(core_stats, &mutable_stats());
+      kernel_calls_ += core_stats.kernel_calls;
       if (!r.ok()) throw QueryAbort(r.status());
       grouping = std::move(r.value());
     }

@@ -229,46 +229,35 @@ const KernelTable& Kernels() {
   return table;
 }
 
-/// Registry counter pair, resolved once; Counter objects live for the
-/// registry's lifetime so the references stay valid across Reset().
-struct KernelCounters {
-  obs::Counter& invocations;
-  obs::Counter& pairs;
-};
-
-KernelCounters& Counters() {
-  static KernelCounters counters{
-      obs::MetricsRegistry::Global().GetCounter("sgb.kernel.invocations"),
-      obs::MetricsRegistry::Global().GetCounter("sgb.kernel.pairs")};
-  return counters;
-}
-
-inline void CountKernelCall(size_t n) {
-  KernelCounters& c = Counters();
-  c.invocations.Add(1);
-  c.pairs.Add(n);
-}
-
 }  // namespace
 
 size_t SimilarBlockL2(double qx, double qy, const double* xs,
                       const double* ys, size_t n, double eps_sq,
                       uint64_t* mask) {
-  CountKernelCall(n);
   return Kernels().l2(qx, qy, xs, ys, n, eps_sq, mask);
 }
 
 size_t SimilarBlockLInf(double qx, double qy, const double* xs,
                         const double* ys, size_t n, double eps,
                         uint64_t* mask) {
-  CountKernelCall(n);
   return Kernels().linf(qx, qy, xs, ys, n, eps, mask);
 }
 
 size_t RectFilterBlock(const Rect& rect, const double* xs, const double* ys,
                        size_t n, uint64_t* mask) {
-  CountKernelCall(n);
   return Kernels().rect(rect, xs, ys, n, mask);
+}
+
+void PublishKernelCounts(size_t calls, size_t pairs) {
+  // Counter objects live for the registry's lifetime, so the references
+  // resolved once stay valid across Reset().
+  static obs::Counter& invocations =
+      obs::MetricsRegistry::Global().GetCounter("sgb.kernel.invocations");
+  static obs::Counter& pair_counter =
+      obs::MetricsRegistry::Global().GetCounter("sgb.kernel.pairs");
+  if (calls == 0) return;
+  invocations.Add(calls);
+  pair_counter.Add(pairs);
 }
 
 const char* ActiveKernelVariant() { return Kernels().name; }

@@ -114,8 +114,9 @@ void ForEachSetBit(const uint64_t* mask, size_t n, Fn&& fn) {
 //
 // Each writes KernelMaskWords(n) words to `mask` (bits >= n cleared), sets
 // bit i iff the predicate holds for point i, and returns the number of set
-// bits. The dispatched wrappers also bump the sgb.kernel.invocations /
-// sgb.kernel.pairs registry counters.
+// bits. They count nothing: BlockSimilarity counts its own calls, and each
+// core adds its instances' counts to the registry once per call
+// (PublishKernelCounts).
 
 /// Bit i set iff (qx-xs[i])² + (qy-ys[i])² <= eps_sq.
 size_t SimilarBlockL2(double qx, double qy, const double* xs,
@@ -162,6 +163,10 @@ size_t RectFilterBlockAvx2(const Rect& rect, const double* xs,
                            const double* ys, size_t n, uint64_t* mask);
 #endif
 
+/// Adds one core call's kernel counts to the sgb.kernel.invocations /
+/// sgb.kernel.pairs registry counters.
+void PublishKernelCounts(size_t calls, size_t pairs);
+
 /// Name of the variant the dispatched entry points resolved to at startup:
 /// "scalar", "portable" or "avx2". Resolution order: the SGB_KERNEL_VARIANT
 /// environment variable if set to an available variant, else AVX2 when
@@ -171,6 +176,10 @@ const char* ActiveKernelVariant();
 /// Batched similarity predicate with the comparison threshold precomputed
 /// once per operator (ε² for L2, ε for L∞) and the metric dispatched once
 /// instead of per pair.
+///
+/// An instance counts the kernel calls and point pairs it evaluated in
+/// plain fields, so it belongs to one thread at a time: parallel workers
+/// each use their own and share no counter cache line.
 class BlockSimilarity {
  public:
   BlockSimilarity(Metric metric, double epsilon)
@@ -179,7 +188,9 @@ class BlockSimilarity {
   /// Evaluates q against an n-point SoA block; returns the match count and
   /// writes the selection mask (KernelMaskWords(n) words).
   size_t Match(const Point& q, const double* xs, const double* ys, size_t n,
-               uint64_t* mask) const {
+               uint64_t* mask) {
+    ++calls_;
+    pairs_ += n;
     return scalar_.metric() == Metric::kL2
                ? SimilarBlockL2(q.x, q.y, xs, ys, n, scalar_.epsilon_sq(),
                                 mask)
@@ -190,8 +201,14 @@ class BlockSimilarity {
   /// The hoisted-threshold scalar predicate, for single-pair call sites.
   const SimilarityPredicate& scalar() const { return scalar_; }
 
+  /// Kernel calls made and point pairs evaluated through this instance.
+  size_t calls() const { return calls_; }
+  size_t pairs() const { return pairs_; }
+
  private:
   SimilarityPredicate scalar_;
+  size_t calls_ = 0;
+  size_t pairs_ = 0;
 };
 
 }  // namespace sgb::geom

@@ -164,7 +164,8 @@ class CliqueGrid {
   void ScanRange(size_t begin, size_t end, UnionFind& forest,
                  std::vector<Edge>& edges, GridPartitionStats& stats,
                  QueryContext* ctx) const {
-    std::vector<uint64_t> mask;  // kernel scratch
+    geom::BlockSimilarity sim = sim_;  // this scan's own kernel counts
+    std::vector<uint64_t> mask;        // kernel scratch
     auto record = [&](size_t u, size_t v, bool local) {
       if (local) {
         ++stats.union_operations;
@@ -182,12 +183,12 @@ class CliqueGrid {
       const Cell& c = cells_[k];
       ++stats.cells;
       stats.points += c.end - c.begin;
-      if (!c.clique) ScanWithin(c, mask, stats, record);
+      if (!c.clique) ScanWithin(c, sim, mask, stats, record);
       auto link_column = [&](size_t k2, int32_t cx) {
         for (; k2 < cells_.size() && cells_[k2].key.cx == cx &&
                cells_[k2].key.cy <= c.key.cy + kReach;
              ++k2) {
-          Link(c, cells_[k2], k2 < end, forest, mask, stats, record);
+          Link(c, cells_[k2], k2 < end, forest, sim, mask, stats, record);
         }
       };
       link_column(k + 1, c.key.cx);
@@ -198,6 +199,7 @@ class CliqueGrid {
         link_column(cur, c.key.cx + d);
       }
     }
+    CountKernels(sim, stats);
   }
 
   /// Matches every point with a non-finite coordinate against all points
@@ -205,21 +207,29 @@ class CliqueGrid {
   /// kernel's NaN and infinity semantics follow no cell geometry.
   void ScanNonFinite(UnionFind& forest, GridPartitionStats& stats,
                      QueryContext* ctx) const {
+    geom::BlockSimilarity sim = sim_;
     std::vector<uint64_t> mask(geom::KernelMaskWords(xs_.size()));
     for (size_t s = finite_points_; s < xs_.size(); ++s) {
       ThrowIfAborted(ctx);
       ++stats.points;
       stats.distance_computations += s;
-      sim_.Match(Point{xs_[s], ys_[s]}, xs_.data(), ys_.data(), s,
-                 mask.data());
+      sim.Match(Point{xs_[s], ys_[s]}, xs_.data(), ys_.data(), s,
+                mask.data());
       geom::ForEachSetBit(mask.data(), s, [&](size_t q) {
         ++stats.union_operations;
         forest.Union(NodeAt(s), NodeAt(q));
       });
     }
+    CountKernels(sim, stats);
   }
 
  private:
+  static void CountKernels(const geom::BlockSimilarity& sim,
+                           GridPartitionStats& stats) {
+    stats.kernel_calls += sim.calls();
+    stats.kernel_pairs += sim.pairs();
+  }
+
   size_t NodeAt(size_t pos) const { return node_of_input_[input_of_[pos]]; }
 
   bool Within(double dx, double dy) const {
@@ -310,8 +320,9 @@ class CliqueGrid {
   /// range, up to the first whose x distance alone fails the predicate
   /// (the x distance only grows along the range, so none after it match).
   template <typename Record>
-  void ScanWithin(const Cell& c, std::vector<uint64_t>& mask,
-                  GridPartitionStats& stats, Record& record) const {
+  void ScanWithin(const Cell& c, geom::BlockSimilarity& sim,
+                  std::vector<uint64_t>& mask, GridPartitionStats& stats,
+                  Record& record) const {
     size_t stop = c.begin;
     for (size_t a = c.begin; a < c.end; ++a) {
       stop = std::max(stop, a + 1);
@@ -320,8 +331,8 @@ class CliqueGrid {
       if (m == 0) continue;
       mask.resize(geom::KernelMaskWords(m));
       stats.distance_computations += m;
-      sim_.Match(Point{xs_[a], ys_[a]}, xs_.data() + a + 1,
-                 ys_.data() + a + 1, m, mask.data());
+      sim.Match(Point{xs_[a], ys_[a]}, xs_.data() + a + 1,
+                ys_.data() + a + 1, m, mask.data());
       geom::ForEachSetBit(mask.data(), m, [&](size_t j) {
         record(NodeAt(a), NodeAt(a + 1 + j), /*local=*/true);
       });
@@ -340,8 +351,8 @@ class CliqueGrid {
   /// pair; a pair involving a non-clique cell unions every match.
   template <typename Record>
   void Link(const Cell& a, const Cell& b, bool local, UnionFind& forest,
-            std::vector<uint64_t>& mask, GridPartitionStats& stats,
-            Record& record) const {
+            geom::BlockSimilarity& sim, std::vector<uint64_t>& mask,
+            GridPartitionStats& stats, Record& record) const {
     if (Apart(a, b)) return;
     const bool cliques = a.clique && b.clique;
     if (cliques && local && forest.Find(a.node) == forest.Find(b.node)) {
@@ -356,8 +367,8 @@ class CliqueGrid {
     for (size_t p = probe.begin; p < probe.end; ++p) {
       stats.distance_computations += m;
       const size_t hits =
-          sim_.Match(Point{xs_[p], ys_[p]}, xs_.data() + block.begin,
-                     ys_.data() + block.begin, m, mask.data());
+          sim.Match(Point{xs_[p], ys_[p]}, xs_.data() + block.begin,
+                    ys_.data() + block.begin, m, mask.data());
       if (hits == 0) continue;
       if (cliques) {
         record(a.node, b.node, local);

@@ -21,6 +21,8 @@ struct GridPartitionStats {
   size_t distance_computations = 0;  ///< similarity predicate evaluations
   size_t union_operations = 0;       ///< similar pairs unioned in-partition
   size_t boundary_edges = 0;         ///< similar pairs deferred to the merge
+  size_t kernel_calls = 0;           ///< block-kernel calls by this slot
+  size_t kernel_pairs = 0;           ///< point pairs those calls evaluated
 };
 
 /// Connected components of an ε-neighbour graph, labeled 0, 1, 2, ... in

@@ -12,15 +12,18 @@ namespace sgb::index {
 
 /// In-memory R-tree (Guttman 1984) over 2-D rectangles with uint64 payloads.
 ///
-/// This is the spatial access method both SGB algorithms rely on
-/// (Sections 6.3 and 7.1):
-///  * SGB-All "on-the-fly Index" keeps the ε-All rectangles of live groups
-///    in a Groups_IX R-tree and answers FindCloseGroups with one window
+/// The paper's spatial access method (Sections 6.3 and 7.1). The engine's
+/// own tiers run grids instead (index::GroupGrid for SGB-All,
+/// index::SimilarityComponents for SGB-Any); the R-tree serves the
+/// reference tiers the Figure 9/10 and Table 1 reproductions run, and the
+/// streaming operators:
+///  * SGB-All's kGroupsIndex keeps the ε-All rectangles of live groups in
+///    a Groups_IX R-tree and answers FindCloseGroups with one window
 ///    query. Group rectangles change as members join/leave, so the tree
 ///    supports Remove + re-Insert.
-///  * SGB-Any's reference tier (kPointsIndex) and the streaming SGB-Any
-///    keep every processed point in a Points_IX R-tree (points are
-///    degenerate rectangles) and find ε-neighbours with a window query.
+///  * SGB-Any's kPointsIndex and the streaming SGB-Any keep every
+///    processed point in a Points_IX R-tree (points are degenerate
+///    rectangles) and find ε-neighbours with a window query.
 ///
 /// Implementation notes: quadratic-split on overflow, condense-tree with
 /// orphan reinsertion on underflow, least-enlargement subtree choice.
@@ -66,17 +69,6 @@ class RTree {
 
   /// Tree height (a lone leaf has height 1); exposed for tests/ablations.
   int height() const { return height_; }
-
-  /// Formula-based estimate of the tree's heap footprint, for memory
-  /// accounting: entries plus interior nodes at the minimum fill factor.
-  /// Not malloc-exact — governance charges bound dominant structures.
-  size_t ApproxMemoryBytes() const {
-    // Each entry is a Rect + payload; nodes add a Rect + vector header per
-    // ~min_entries_ entries across all levels (geometric series ≈ 2x).
-    const size_t per_entry = sizeof(geom::Rect) + sizeof(uint64_t) +
-                             sizeof(void*);
-    return size_ * per_entry + (size_ / (min_entries_ + 1) + 1) * 64;
-  }
 
   /// Verifies structural invariants (uniform leaf depth, fill factors,
   /// covering rectangles). Test-only helper.

@@ -87,8 +87,14 @@ constexpr double kApPairCostAll = 1.0;
 constexpr double kApPairCostAny = 0.04;
 constexpr double kBcGroupCost = 0.12;  ///< Bounds-Checking: cheap bound test
 constexpr double kRefineCost = 1.6;    ///< per ε-close pair refined
-constexpr double kIxBuildCost = 40.0;  ///< per-point index maintenance
-constexpr double kIxProbeCost = 2.0;   ///< per-point probe × log(groups)
+/// SGB-All's group grid: per-point cell upkeep and probe, plus a fitted
+/// log2(groups) term that stands in for the groups each probe classifies
+/// where the pair estimate runs low (skewed inputs; docs/PLANNER.md).
+constexpr double kIxBuildCost = 6.0;
+constexpr double kIxProbeCost = 2.5;
+/// SGB-Any's clique-cell grid: flat per point. Dense cells are cliques
+/// that cost no distance computation, so there is no pair term.
+constexpr double kIxPointCostAny = 5.0;
 /// Predicted work above which an unpinned SGB goes parallel (dop = 0).
 constexpr double kParallelWorkThreshold = 8e6;
 /// Plain GROUP BY: input rows below which sort aggregation never pays.
@@ -895,9 +901,10 @@ class PlannerImpl {
           const double p = std::max(0.0, pairs);
           cost_ap = (is_all ? kApPairCostAll : kApPairCostAny) * n * n;
           cost_bc = kBcGroupCost * n * g + kRefineCost * p;
-          cost_ix = kIxBuildCost * n +
-                    kIxProbeCost * n * std::log2(g + 2.0) +
-                    kRefineCost * p;
+          cost_ix = is_all ? kIxBuildCost * n +
+                                 kIxProbeCost * n * std::log2(g + 2.0) +
+                                 kRefineCost * p
+                           : kIxPointCostAny * n;
         }
 
         // ---- tier selection -------------------------------------------

@@ -246,20 +246,6 @@ Status BufferManager::UnregisterSegment(uint32_t seg) {
   return Status::OK();
 }
 
-void BufferManager::DiscardSegmentPages(uint32_t seg, uint64_t from_page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    Frame* f = it->second.get();
-    if (f->seg != seg || f->page_no < from_page || f->pins > 0 || f->busy) {
-      ++it;
-      continue;
-    }
-    policy_->OnRemove(it->first, /*evicted=*/false);
-    tracker_.Release(page_size_);
-    it = frames_.erase(it);
-  }
-}
-
 Status BufferManager::WriteBackLocked(std::unique_lock<std::mutex>& lock,
                                       Frame* frame) {
   PageFile* file = segments_.at(frame->seg);
@@ -422,17 +408,6 @@ Status BufferManager::FlushSegment(uint32_t seg) {
       break;
     }
   }
-  return Status::OK();
-}
-
-Status BufferManager::FlushAll() {
-  std::vector<uint32_t> segs;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [seg, file] : segments_) segs.push_back(seg);
-  }
-  std::sort(segs.begin(), segs.end());
-  for (uint32_t seg : segs) SGB_RETURN_IF_ERROR(FlushSegment(seg));
   return Status::OK();
 }
 

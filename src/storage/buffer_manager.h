@@ -120,15 +120,10 @@ class BufferManager {
   /// Pins a brand-new zeroed page (no disk read), already marked dirty.
   Result<PageGuard> PinNew(uint32_t seg, uint64_t page_no);
 
-  /// Writes back every dirty frame of `seg` (of every segment), stamping
+  /// Writes back every dirty frame of `seg`, stamping
   /// page checksums. Frames stay resident and become clean. Pinned frames
   /// are flushed too — write-back does not mutate or drop the frame.
   Status FlushSegment(uint32_t seg);
-  Status FlushAll();
-
-  /// Discards unpinned frames of `seg` with page_no >= from_page, dropping
-  /// dirty data (recovery trims a segment back to its durable length).
-  void DiscardSegmentPages(uint32_t seg, uint64_t from_page);
 
   /// Shrinks/grows the pool; evicts (writing back dirty pages) down to the
   /// new capacity. Pinned frames in excess of the capacity survive — the

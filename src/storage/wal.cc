@@ -164,8 +164,6 @@ Status WriteAheadLog::Sync() {
   return Status::OK();
 }
 
-Status WriteAheadLog::TruncateAll() { return TruncateTo(0); }
-
 Status WriteAheadLog::TruncateTo(uint64_t bytes) {
   if (bytes > end_) {
     return Status::Internal("wal: TruncateTo past the end of " + path_);

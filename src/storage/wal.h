@@ -51,9 +51,6 @@ class WriteAheadLog {
   Status Append(WalRecordType type, const std::string& payload);
   Status Sync();
 
-  /// Empties the log (checkpoint has made every record redundant).
-  Status TruncateAll();
-
   /// Drops bytes past `bytes` — the fail-atomic INSERT path rolls an
   /// appended-but-not-applied frame back with this.
   Status TruncateTo(uint64_t bytes);

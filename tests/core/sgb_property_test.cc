@@ -65,7 +65,7 @@ TEST_P(SgbAllPropertyTest, CliqueInvariantAndTierEquivalence) {
   std::vector<Grouping> results;
   for (const auto algorithm :
        {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
-        SgbAllAlgorithm::kIndexed}) {
+        SgbAllAlgorithm::kIndexed, SgbAllAlgorithm::kGroupsIndex}) {
     options.algorithm = algorithm;
     auto result = SgbAll(pts, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -78,6 +78,8 @@ TEST_P(SgbAllPropertyTest, CliqueInvariantAndTierEquivalence) {
   EXPECT_EQ(results[0].group_of, results[2].group_of)
       << "all-pairs vs indexed";
   EXPECT_EQ(results[0].num_groups, results[2].num_groups);
+  EXPECT_EQ(results[0].group_of, results[3].group_of)
+      << "all-pairs vs groups-index";
 
   // Clique invariant.
   const Grouping& g = results[0];

@@ -19,6 +19,7 @@
 #include "common/query_context.h"
 #include "common/random.h"
 #include "common/socket.h"
+#include "core/sgb_all.h"
 #include "engine/csv.h"
 #include "engine/executor.h"
 #include "engine/spill.h"
@@ -74,6 +75,22 @@ void RegisterIntsTable(Database& db, size_t n = 1000) {
                     .ok());
   }
   db.Register("ints", table);
+}
+
+/// SGB-All through the core on its R-tree reference tier (kGroupsIndex),
+/// the path that still builds an R-tree over groups: 300 points form
+/// enough groups to split its nodes.
+Status GroupsIndexStatus() {
+  Rng rng(7);
+  std::vector<geom::Point> pts;
+  for (int i = 0; i < 300; ++i) {
+    pts.push_back(geom::Point{rng.NextUniform(0, 10), rng.NextUniform(0, 10)});
+  }
+  core::SgbAllOptions options;
+  options.epsilon = 0.4;
+  options.on_overlap = core::OverlapClause::kEliminate;
+  options.algorithm = core::SgbAllAlgorithm::kGroupsIndex;
+  return core::SgbAll(pts, options).status();
 }
 
 /// Runs the aggregate under a budget that forces spilling; restores the
@@ -333,10 +350,12 @@ TEST_F(GovernanceTest, EveryRegisteredFaultSiteFiresAndRecovers) {
        [](Database& db) { return db.Query(kSgbParallelQuery).status(); }},
       {"index.grid.rehash", Status::Code::kInternal,
        [](Database& db) { return db.Query(kSgbParallelQuery).status(); }},
+      {"core.group_grid.build", Status::Code::kInternal,
+       [](Database& db) { return db.Query(kSgbAllQuery).status(); }},
       {"core.rtree.build", Status::Code::kInternal,
-       [](Database& db) { return db.Query(kSgbAllQuery).status(); }},
+       [](Database&) { return GroupsIndexStatus(); }},
       {"index.rtree.split", Status::Code::kInternal,
-       [](Database& db) { return db.Query(kSgbAllQuery).status(); }},
+       [](Database&) { return GroupsIndexStatus(); }},
       {"engine.spill.write", Status::Code::kIoError,
        [](Database& db) { return SpilledAggStatus(db); }},
       {"engine.spill.read", Status::Code::kIoError,

@@ -161,13 +161,19 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
       // The grid follows the kernel's own NaN/±inf semantics, so SGB-Any's
       // grid runs must still equal the All-Pairs oracle exactly.
       ++non_finite_cases;
+      std::vector<Grouping> all_tiers;
       for (const SgbAllAlgorithm algorithm :
            {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
-            SgbAllAlgorithm::kIndexed}) {
+            SgbAllAlgorithm::kIndexed, SgbAllAlgorithm::kGroupsIndex}) {
         auto result = SgbAll(pts, AllOptions(config, algorithm, 1));
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         ExpectValidShape(result.value(), n, config);
+        all_tiers.push_back(std::move(result).value());
       }
+      // The group grid classifies exactly the groups Bounds-Checking
+      // scans, NaN or not, so those two tiers still agree.
+      EXPECT_EQ(all_tiers[2].group_of, all_tiers[1].group_of)
+          << Repro(config, pts);
       auto points_index =
           SgbAny(pts, AnyOptions(config, SgbAnyAlgorithm::kPointsIndex, 1));
       ASSERT_TRUE(points_index.ok()) << points_index.status().ToString();
@@ -199,7 +205,8 @@ TEST(SgbFuzzTest, DifferentialCrossCheckAgainstAllPairsOracle) {
     ExpectValidShape(all_oracle.value(), n, config);
     bool ok = true;
     for (const SgbAllAlgorithm algorithm :
-         {SgbAllAlgorithm::kBoundsChecking, SgbAllAlgorithm::kIndexed}) {
+         {SgbAllAlgorithm::kBoundsChecking, SgbAllAlgorithm::kIndexed,
+          SgbAllAlgorithm::kGroupsIndex}) {
       for (const int dop : {1, 4}) {
         const std::string variant =
             std::string("SgbAll/") + ToString(algorithm) + "/dop" +

@@ -163,7 +163,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   for (const SgbAllAlgorithm algorithm :
        {SgbAllAlgorithm::kAllPairs, SgbAllAlgorithm::kBoundsChecking,
-        SgbAllAlgorithm::kIndexed}) {
+        SgbAllAlgorithm::kIndexed, SgbAllAlgorithm::kGroupsIndex}) {
     for (const int dop : dops) {
       if (algorithm == SgbAllAlgorithm::kAllPairs && dop == 1) continue;
       const std::string variant = std::string("SgbAll/") +

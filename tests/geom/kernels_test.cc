@@ -234,7 +234,7 @@ TEST(KernelsTest, BlockSimilarityMatchesMetricKernels) {
   std::vector<uint64_t> want(KernelMaskWords(40));
   std::vector<uint64_t> got(KernelMaskWords(40));
 
-  const BlockSimilarity l2(Metric::kL2, 1.5);
+  BlockSimilarity l2(Metric::kL2, 1.5);
   EXPECT_EQ(l2.scalar().epsilon_sq(), 1.5 * 1.5);
   size_t want_count =
       SimilarBlockL2(q.x, q.y, xs.data(), ys.data(), 40, 1.5 * 1.5,
@@ -242,11 +242,18 @@ TEST(KernelsTest, BlockSimilarityMatchesMetricKernels) {
   EXPECT_EQ(l2.Match(q, xs.data(), ys.data(), 40, got.data()), want_count);
   EXPECT_EQ(want, got);
 
-  const BlockSimilarity linf(Metric::kLInf, 1.5);
+  BlockSimilarity linf(Metric::kLInf, 1.5);
   want_count = SimilarBlockLInf(q.x, q.y, xs.data(), ys.data(), 40, 1.5,
                                 want.data());
   EXPECT_EQ(linf.Match(q, xs.data(), ys.data(), 40, got.data()), want_count);
   EXPECT_EQ(want, got);
+  linf.Match(q, xs.data(), ys.data(), 7, got.data());
+
+  // Each instance counts its own calls and pairs.
+  EXPECT_EQ(l2.calls(), 1u);
+  EXPECT_EQ(l2.pairs(), 40u);
+  EXPECT_EQ(linf.calls(), 2u);
+  EXPECT_EQ(linf.pairs(), 47u);
 }
 
 }  // namespace

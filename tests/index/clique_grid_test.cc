@@ -35,7 +35,7 @@ std::vector<size_t> AllPairsLabels(const std::vector<Point>& pts,
   UnionFind forest(pts.size());
   geom::PointColumns cols;
   cols.Assign(pts);
-  const geom::BlockSimilarity sim(metric, epsilon);
+  geom::BlockSimilarity sim(metric, epsilon);
   std::vector<uint64_t> mask(geom::KernelMaskWords(pts.size()));
   for (size_t i = 0; i < pts.size(); ++i) {
     sim.Match(pts[i], cols.xs(), cols.ys(), i, mask.data());
