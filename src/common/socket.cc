@@ -149,7 +149,7 @@ Result<Listener> Listener::ListenUnix(const std::string& path) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return Errno("bind");
   }
-  if (::listen(fd, 64) != 0) return Errno("listen");
+  if (::listen(fd, SOMAXCONN) != 0) return Errno("listen");
 
   Listener listener;
   listener.fd_.store(sock.Release());
@@ -171,7 +171,7 @@ Result<Listener> Listener::ListenTcp(uint16_t port) {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return Errno("bind");
   }
-  if (::listen(fd, 64) != 0) return Errno("listen");
+  if (::listen(fd, SOMAXCONN) != 0) return Errno("listen");
 
   socklen_t len = sizeof(addr);
   if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {

@@ -9,6 +9,8 @@
 
 #include "common/fault_injection.h"
 #include "common/query_context.h"
+#include "common/stopwatch.h"
+#include "core/arrival_replay.h"
 #include "core/sgb_all.h"
 #include "core/sgb_any.h"
 #include "obs/metrics.h"
@@ -116,14 +118,10 @@ struct ContinuousQueryManager::Config {
   size_t t_col = 0;
 };
 
-/// One event-time window currently being maintained. Exactly one of
-/// all/any is set, per the query's similarity kind.
+/// One event-time window still open: only its arrivals. Each arrival is
+/// charged to the manager's tracker as it lands and released when the
+/// window closes or its query is dropped.
 struct ContinuousQueryManager::OpenWindow {
-  double start = 0.0;
-  double end = 0.0;
-  std::unique_ptr<core::IncrementalSgbAll> all;
-  std::unique_ptr<core::IncrementalSgbAny> any;
-
   struct Arrival {
     double t = 0.0;
     double x = 0.0;
@@ -131,8 +129,24 @@ struct ContinuousQueryManager::OpenWindow {
     uint64_t seq = 0;  ///< per-query arrival sequence number
     uint64_t key = 0;  ///< identity arbitration key
   };
-  std::vector<Arrival> arrivals;  ///< arrival order (core insert order)
-  std::vector<GroupDelta> deltas;
+
+  OpenWindow(double start_in, double end_in, MemoryTracker* memory_in)
+      : start(start_in), end(end_in), memory(memory_in) {}
+  ~OpenWindow() { memory->Release(arrivals.size() * sizeof(Arrival)); }
+  OpenWindow(const OpenWindow&) = delete;
+  OpenWindow& operator=(const OpenWindow&) = delete;
+
+  /// Fails, recording nothing, when the budget does not cover it.
+  Status Add(const Arrival& arrival) {
+    SGB_RETURN_IF_ERROR(memory->TryConsume(sizeof(Arrival)));
+    arrivals.push_back(arrival);
+    return Status::OK();
+  }
+
+  double start;
+  double end;
+  MemoryTracker* memory;
+  std::vector<Arrival> arrivals;  ///< arrival order
 };
 
 struct ContinuousQueryManager::Cq {
@@ -160,6 +174,7 @@ struct ContinuousQueryManager::Cq {
   uint64_t windows_closed = 0;
   uint64_t delta_events = 0;
   uint64_t differential_checks = 0;
+  obs::Histogram close_us;  ///< successful closes, microseconds
 
   std::map<int64_t, OpenWindow> open;
   std::map<uint64_t, Subscriber> subscribers;
@@ -279,43 +294,17 @@ Status ContinuousQueryManager::Drop(const std::string& name, bool if_exists) {
   return Status::OK();
 }
 
-Status ContinuousQueryManager::ApplyArrival(Cq& cq, OpenWindow& window,
-                                            double t, double x, double y,
-                                            QueryContext* ctx) {
-  const geom::Point p{x, y};
-  const uint64_t seq = cq.arrivals_seen;
-  const uint64_t key = ArrivalKey(t, x, y);
-  Result<core::DeltaEvent> event = [&] {
-    if (window.all != nullptr) {
-      window.all->set_query_ctx(ctx);
-      auto out = window.all->Insert(p, key);
-      window.all->set_query_ctx(nullptr);
-      return out;
-    }
-    window.any->set_query_ctx(ctx);
-    auto out = window.any->Insert(p);
-    window.any->set_query_ctx(nullptr);
-    return out;
-  }();
-  // A failed core insert mutated nothing, so skipping the arrival record
-  // keeps the maintained window self-consistent; the INSERT's error tells
-  // the client the maintained state may lag the base table.
-  if (!event.ok()) return event.status();
-  window.arrivals.push_back(OpenWindow::Arrival{t, x, y, seq, key});
-  window.deltas.push_back(
-      GroupDelta{core::ToString(event.value().kind),
-                 static_cast<int64_t>(seq),
-                 static_cast<int64_t>(event.value().merged_groups)});
-  return Status::OK();
-}
-
 Status ContinuousQueryManager::CloseWindow(Cq& cq, int64_t index,
                                            QueryContext* ctx,
                                            std::vector<DeltaBatch>* closed) {
   SGB_RETURN_IF_ERROR(g_close_fault.Check());
+  const Stopwatch watch;
 
   OpenWindow& window = cq.open.at(index);
   const size_t n = window.arrivals.size();
+  const bool all = cq.config.kind == sql::SimilarityClause::Kind::kAll;
+  const core::ReplayKind kind =
+      all ? core::ReplayKind::kAll : core::ReplayKind::kAny;
 
   // The window's canonical order: (event time, x, y, arrival seq). Purely
   // content-defined (the seq only breaks exact duplicate rows), so every
@@ -339,25 +328,9 @@ Status ContinuousQueryManager::CloseWindow(Cq& cq, int64_t index,
     keys[k] = a.key;
   }
 
-  // Maintained grouping (incremental state) vs from-scratch batch
-  // execution at the query's configured DOP — the differential check every
-  // close must pass before any delta is published.
-  Result<core::Grouping> maintained = [&]() -> Result<core::Grouping> {
-    if (window.all != nullptr) {
-      window.all->set_query_ctx(ctx);
-      auto out = window.all->Snapshot(order);
-      window.all->set_query_ctx(nullptr);
-      return out;
-    }
-    window.any->set_query_ctx(ctx);
-    auto out = window.any->Snapshot(order);
-    window.any->set_query_ctx(nullptr);
-    return out;
-  }();
-  if (!maintained.ok()) return maintained.status();
-
+  // The grouping: one batch execution at the query's configured DOP.
   Result<core::Grouping> batch = [&]() -> Result<core::Grouping> {
-    if (window.all != nullptr) {
+    if (all) {
       core::SgbAllOptions options;
       options.epsilon = cq.config.epsilon;
       options.metric = cq.config.metric;
@@ -376,16 +349,26 @@ Status ContinuousQueryManager::CloseWindow(Cq& cq, int64_t index,
   }();
   if (!batch.ok()) return batch.status();
 
+  // The per-arrival deltas: a replay of the arrivals in seq order.
+  std::vector<geom::Point> arrived(n);
+  for (size_t i = 0; i < n; ++i) {
+    arrived[i] = geom::Point{window.arrivals[i].x, window.arrivals[i].y};
+  }
+  Result<core::ArrivalReplay> replay = core::ReplayArrivals(
+      arrived, cq.config.metric, cq.config.epsilon, kind, ctx);
+  if (!replay.ok()) return replay.status();
+
+  // The differential check every close must pass before any delta is
+  // published: the batch groups against the replay's components.
   auto& registry = obs::MetricsRegistry::Global();
   ++cq.differential_checks;
   registry.GetCounter("continuous.differential_checks").Add(1);
-  if (maintained.value().group_of != batch.value().group_of ||
-      maintained.value().num_groups != batch.value().num_groups) {
+  if (!core::BatchMatchesReplay(batch.value(), order, replay.value(), kind)) {
     registry.GetCounter("continuous.differential_failures").Add(1);
     return Status::Internal(
-        "continuous query '" + cq.name + "': maintained grouping for window [" +
+        "continuous query '" + cq.name + "': batch grouping for window [" +
         std::to_string(window.start) + ", " + std::to_string(window.end) +
-        ") diverged from its batch re-execution");
+        ") disagrees with its arrival replay");
   }
 
   DeltaBatch out;
@@ -393,9 +376,18 @@ Status ContinuousQueryManager::CloseWindow(Cq& cq, int64_t index,
   out.window_start = window.start;
   out.window_end = window.end;
   out.rows = n;
-  out.num_groups = maintained.value().num_groups;
-  out.eliminated = maintained.value().NumEliminated();
-  out.deltas = std::move(window.deltas);
+  out.num_groups = batch.value().num_groups;
+  out.eliminated = batch.value().NumEliminated();
+  out.deltas.reserve(n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t touched = replay.value().touched[i];
+    out.deltas.push_back(GroupDelta{
+        touched == 0   ? "group_formed"
+        : touched == 1 ? "member_added"
+                       : "groups_merged",
+        static_cast<int64_t>(window.arrivals[i].seq),
+        static_cast<int64_t>(touched)});
+  }
   out.deltas.push_back(GroupDelta{
       "window_closed", -1, static_cast<int64_t>(out.num_groups)});
 
@@ -407,6 +399,7 @@ Status ContinuousQueryManager::CloseWindow(Cq& cq, int64_t index,
   closed->push_back(std::move(out));
   cq.next_unclosed = std::max(cq.next_unclosed, index + 1);
   cq.open.erase(index);
+  cq.close_us.Record(static_cast<uint64_t>(watch.ElapsedMicros()));
   return Status::OK();
 }
 
@@ -480,27 +473,13 @@ Status ContinuousQueryManager::OnInsert(const Catalog& catalog,
             registry.GetCounter("continuous.late_rows").Add(1);
             continue;
           }
-          auto [it, created] = cq.open.try_emplace(i);
-          OpenWindow& window = it->second;
-          if (created) {
-            window.start = start;
-            window.end = end;
-            if (config.kind == sql::SimilarityClause::Kind::kAll) {
-              core::SgbAllOptions options;
-              options.epsilon = config.epsilon;
-              options.metric = config.metric;
-              options.on_overlap = config.on_overlap;
-              window.all = std::make_unique<core::IncrementalSgbAll>(
-                  options, &memory_);
-            } else {
-              core::SgbAnyOptions options;
-              options.epsilon = config.epsilon;
-              options.metric = config.metric;
-              window.any = std::make_unique<core::IncrementalSgbAny>(
-                  options, &memory_);
-            }
+          status = ctx.CheckAbort();
+          if (status.ok()) {
+            OpenWindow& window =
+                cq.open.try_emplace(i, start, end, &memory_).first->second;
+            status = window.Add(OpenWindow::Arrival{
+                t, x, y, cq.arrivals_seen, ArrivalKey(t, x, y)});
           }
-          status = ApplyArrival(cq, window, t, x, y, &ctx);
           if (!status.ok()) {
             applied_all = false;
             break;
@@ -611,6 +590,8 @@ Schema ContinuousQueriesSchema() {
   s.AddColumn(Column{"windows_closed", DataType::kInt64, ""});
   s.AddColumn(Column{"delta_events", DataType::kInt64, ""});
   s.AddColumn(Column{"differential_checks", DataType::kInt64, ""});
+  s.AddColumn(Column{"close_us_p50", DataType::kDouble, ""});
+  s.AddColumn(Column{"close_us_p99", DataType::kDouble, ""});
   s.AddColumn(Column{"plan_rebuilds", DataType::kInt64, ""});
   s.AddColumn(Column{"subscribers", DataType::kInt64, ""});
   s.AddColumn(Column{"definition", DataType::kString, ""});
@@ -648,6 +629,10 @@ Status ContinuousQueryManager::SystemRows(Table* table) const {
         Value::Int(static_cast<int64_t>(cq.windows_closed)),
         Value::Int(static_cast<int64_t>(cq.delta_events)),
         Value::Int(static_cast<int64_t>(cq.differential_checks)),
+        cq.close_us.count() > 0 ? Value::Double(cq.close_us.P50())
+                                : Value::Null(),
+        cq.close_us.count() > 0 ? Value::Double(cq.close_us.P99())
+                                : Value::Null(),
         Value::Int(static_cast<int64_t>(cq.plan_rebuilds)),
         Value::Int(static_cast<int64_t>(cq.subscribers.size())),
         Value::Str(cq.definition)}));

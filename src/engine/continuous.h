@@ -11,7 +11,6 @@
 
 #include "common/memory_tracker.h"
 #include "common/status.h"
-#include "core/sgb_incremental.h"
 #include "engine/catalog.h"
 #include "engine/value.h"
 #include "sql/ast.h"
@@ -46,21 +45,21 @@ struct DeltaBatch {
 };
 
 /// Registry and maintenance engine for CREATE CONTINUOUS QUERY
-/// (docs/STREAMING.md). Each registered query incrementally maintains a
-/// similarity grouping (SGB-All via bounded regrouping over 3ε interaction
-/// components, SGB-Any via union-find merge-on-arrival) over the event-time
-/// windows of an append-only table. The executor forwards every successful
-/// INSERT through OnInsert(); window close is driven by the watermark (the
-/// maximum event time seen), and every close differentially checks the
-/// maintained grouping against a from-scratch batch execution before any
-/// delta is published — a mismatch fails the close (and the INSERT that
-/// drove it) with Status::Internal.
+/// (docs/STREAMING.md). Each registered query groups the event-time
+/// windows of an append-only table by similarity. The executor forwards
+/// every successful INSERT through OnInsert(), which only records each
+/// arrival in the windows it lands in. Window close is driven by the
+/// watermark (the maximum event time seen): a close runs one batch
+/// SgbAll/SgbAny over the window, replays the arrivals in order to derive
+/// the per-arrival deltas (core/arrival_replay.h), and cross-checks the
+/// two before any delta is published — a mismatch fails the close (and the
+/// INSERT that drove it) with Status::Internal.
 ///
 /// Failure semantics: maintenance errors (memory budget, cancellation,
 /// injected faults at `continuous.window_close`) propagate as the INSERT's
 /// status. The base rows stay appended and the affected window stays open
-/// with a self-consistent maintained state, so the next INSERT retries the
-/// close and subscribers resume with the correct next delta.
+/// with its arrivals intact, so the next INSERT retries the close and
+/// subscribers resume with the correct next delta.
 ///
 /// Thread safety: all methods may be called concurrently; a manager-wide
 /// mutex guards the registry and each query has its own mutex, taken in
@@ -105,7 +104,7 @@ class ContinuousQueryManager {
   /// system.continuous_queries surface.
   Status SystemRows(Table* out) const;
 
-  /// The tracker charged by all maintained window state ("continuous",
+  /// The tracker charged by every open window's arrivals ("continuous",
   /// parented to the engine-global tracker).
   const MemoryTracker& memory() const { return memory_; }
 
@@ -117,16 +116,12 @@ class ContinuousQueryManager {
   static Status Resolve(const Catalog& catalog,
                         const sql::SelectStatement& select, Config* config);
 
-  /// Closes `window` (erasing it from `cq.open` on success): differential
-  /// check, delta batch construction, counters. Appends the batch to
-  /// `closed` for post-lock delivery. Called with cq.mu held.
+  /// Closes `window` (erasing it from `cq.open` on success): batch
+  /// grouping, arrival replay, differential check, delta batch
+  /// construction, counters. Appends the batch to `closed` for post-lock
+  /// delivery. Called with cq.mu held.
   Status CloseWindow(Cq& cq, int64_t index, QueryContext* ctx,
                      std::vector<DeltaBatch>* closed);
-
-  /// Applies one arrival to one window's incremental core. Called with
-  /// cq.mu held.
-  Status ApplyArrival(Cq& cq, OpenWindow& window, double t, double x,
-                      double y, QueryContext* ctx);
 
   void DeliverBatches(Cq& cq, const std::vector<DeltaBatch>& closed);
 
@@ -145,16 +140,16 @@ class ContinuousQueryManager {
 void RegisterContinuousSystemTable(
     Catalog* catalog, std::shared_ptr<ContinuousQueryManager> manager);
 
-/// The per-arrival identity key the continuous SGB-All maintenance feeds
-/// into the JOIN-ANY arbitration (SgbAllOptions::arbitration_keys): a
-/// SplitMix64 chain over the row's *content* only — never arrival order or
+/// The per-arrival identity key a continuous SGB-All close feeds into the
+/// JOIN-ANY arbitration (SgbAllOptions::arbitration_keys): a SplitMix64
+/// chain over the row's *content* only — never arrival order or
 /// window-local position. Combined with the content-defined canonical
 /// order (t, x, y) this makes every window close a pure function of the
 /// window's row multiset, so shuffled arrivals of the same rows converge
 /// to bit-identical groupings. Exposed so differential harnesses can build
-/// a from-scratch batch oracle with the exact keys the incremental path
-/// used (exact duplicate rows share a key, which is harmless: swapping
-/// identical rows cannot change the result).
+/// a from-scratch batch oracle with the exact keys a close uses (exact
+/// duplicate rows share a key, which is harmless: swapping identical rows
+/// cannot change the result).
 uint64_t ArrivalKey(double t, double x, double y);
 
 }  // namespace sgb::engine

@@ -40,19 +40,10 @@ constexpr int32_t kMaxCell = int32_t{1} << 30;
 /// rounding of floor(x/w) cannot push a cell's points more than ε apart.
 constexpr double kWidthMargin = 1.0 - 0x1p-20;
 
-/// Neighbour cells scanned on each axis. The width guarantees that points
-/// three cells apart (at least 2w(1 − 2⁻²²) apart) never match.
-constexpr int32_t kReach = 2;
-
-/// Positions, input indices and forest nodes are 32-bit: the grid's
-/// arrays stay small enough to charge against tight query budgets.
-using Index = uint32_t;
-
-struct CellKey {
-  int32_t cx;
-  int32_t cy;
-  friend auto operator<=>(const CellKey&, const CellKey&) = default;
-};
+using Index = CliqueGrid::Index;
+using CellKey = CliqueGrid::CellKey;
+using Cell = CliqueGrid::Cell;
+constexpr int32_t kReach = CliqueGrid::kReach;
 
 /// Sort entry: the cell key packed so that unsigned order is (cx, cy)
 /// order.
@@ -100,15 +91,6 @@ void SortByKey(std::vector<Entry>& entries) {
   }
 }
 
-struct Cell {
-  CellKey key;
-  Index begin = 0;  ///< range [begin, end) of the sorted SoA
-  Index end = 0;
-  Index node = 0;   ///< first union-find node (the only one if a clique)
-  bool clique = false;
-  double lo_x = 0, hi_x = 0, lo_y = 0, hi_y = 0;  ///< points' bounding box
-};
-
 struct Edge {
   size_t a;
   size_t b;
@@ -143,19 +125,10 @@ int32_t CellCoord(double v, double width) {
   return static_cast<int32_t>(c);
 }
 
-/// The sorted clique-cell grid over one input and the scan that unions it.
-class CliqueGrid {
+/// The scan that unions a CliqueGrid's matching cells.
+class GridScan {
  public:
-  CliqueGrid(std::span<const Point> points, Metric metric, double radius)
-      : sim_(metric, radius), width_(CellWidth(sim_.scalar())) {
-    Build(points);
-  }
-
-  size_t num_cells() const { return cells_.size(); }
-  size_t num_nodes() const { return num_nodes_; }
-  size_t finite_points() const { return finite_points_; }
-  const Cell& cell(size_t k) const { return cells_[k]; }
-  size_t node_of_input(size_t i) const { return node_of_input_[i]; }
+  explicit GridScan(const CliqueGrid& grid) : grid_(grid) {}
 
   /// Scans cells [begin, end): non-clique cells internally, then every
   /// forward neighbour within reach. Pairs whose other cell lies at or past
@@ -164,8 +137,8 @@ class CliqueGrid {
   void ScanRange(size_t begin, size_t end, UnionFind& forest,
                  std::vector<Edge>& edges, GridPartitionStats& stats,
                  QueryContext* ctx) const {
-    geom::BlockSimilarity sim = sim_;  // this scan's own kernel counts
-    std::vector<uint64_t> mask;        // kernel scratch
+    geom::BlockSimilarity sim = grid_.similarity();  // own kernel counts
+    std::vector<uint64_t> mask;                      // kernel scratch
     auto record = [&](size_t u, size_t v, bool local) {
       if (local) {
         ++stats.union_operations;
@@ -175,27 +148,29 @@ class CliqueGrid {
         edges.push_back(Edge{u, v});
       }
     };
+    const size_t num_cells = grid_.num_cells();
     // Monotone cursors into columns cx+1 .. cx+kReach.
     size_t cursor[kReach];
     std::fill(cursor, cursor + kReach, begin + 1);
     for (size_t k = begin; k < end; ++k) {
       ThrowIfAborted(ctx);  // per cell; ParallelFor rethrows on the caller
-      const Cell& c = cells_[k];
+      const Cell& c = grid_.cell(k);
       ++stats.cells;
       stats.points += c.end - c.begin;
       if (!c.clique) ScanWithin(c, sim, mask, stats, record);
       auto link_column = [&](size_t k2, int32_t cx) {
-        for (; k2 < cells_.size() && cells_[k2].key.cx == cx &&
-               cells_[k2].key.cy <= c.key.cy + kReach;
+        for (; k2 < num_cells && grid_.cell(k2).key.cx == cx &&
+               grid_.cell(k2).key.cy <= c.key.cy + kReach;
              ++k2) {
-          Link(c, cells_[k2], k2 < end, forest, sim, mask, stats, record);
+          Link(c, grid_.cell(k2), k2 < end, forest, sim, mask, stats,
+               record);
         }
       };
       link_column(k + 1, c.key.cx);
       for (int32_t d = 1; d <= kReach; ++d) {
         const CellKey first{c.key.cx + d, c.key.cy - kReach};
         size_t& cur = cursor[d - 1];
-        while (cur < cells_.size() && cells_[cur].key < first) ++cur;
+        while (cur < num_cells && grid_.cell(cur).key < first) ++cur;
         link_column(cur, c.key.cx + d);
       }
     }
@@ -203,21 +178,20 @@ class CliqueGrid {
   }
 
   /// Matches every point with a non-finite coordinate against all points
-  /// before it (finite points first, then earlier non-finite ones): the
-  /// kernel's NaN and infinity semantics follow no cell geometry.
+  /// before it (finite points first, then earlier non-finite ones).
   void ScanNonFinite(UnionFind& forest, GridPartitionStats& stats,
                      QueryContext* ctx) const {
-    geom::BlockSimilarity sim = sim_;
-    std::vector<uint64_t> mask(geom::KernelMaskWords(xs_.size()));
-    for (size_t s = finite_points_; s < xs_.size(); ++s) {
+    geom::BlockSimilarity sim = grid_.similarity();
+    std::vector<uint64_t> mask(geom::KernelMaskWords(grid_.size()));
+    for (size_t s = grid_.finite_points(); s < grid_.size(); ++s) {
       ThrowIfAborted(ctx);
       ++stats.points;
       stats.distance_computations += s;
-      sim.Match(Point{xs_[s], ys_[s]}, xs_.data(), ys_.data(), s,
-                mask.data());
+      sim.Match(Point{grid_.xs()[s], grid_.ys()[s]}, grid_.xs(), grid_.ys(),
+                s, mask.data());
       geom::ForEachSetBit(mask.data(), s, [&](size_t q) {
         ++stats.union_operations;
-        forest.Union(NodeAt(s), NodeAt(q));
+        forest.Union(grid_.NodeAt(s), grid_.NodeAt(q));
       });
     }
     CountKernels(sim, stats);
@@ -230,92 +204,6 @@ class CliqueGrid {
     stats.kernel_pairs += sim.pairs();
   }
 
-  size_t NodeAt(size_t pos) const { return node_of_input_[input_of_[pos]]; }
-
-  bool Within(double dx, double dy) const {
-    return sim_.scalar().metric() == Metric::kL2
-               ? dx * dx + dy * dy <= sim_.scalar().epsilon_sq()
-               : std::max(dx, dy) <= sim_.scalar().epsilon();
-  }
-
-  void Build(std::span<const Point> points) {
-    const Index n = static_cast<Index>(points.size());
-    std::vector<Entry> entries;
-    entries.reserve(n);
-    std::vector<Index> non_finite;
-    for (Index i = 0; i < n; ++i) {
-      const Point& p = points[i];
-      if (std::isfinite(p.x) && std::isfinite(p.y)) {
-        entries.push_back(Entry{
-            PackKey(CellCoord(p.x, width_), CellCoord(p.y, width_)), i});
-      } else {
-        non_finite.push_back(i);
-      }
-    }
-    finite_points_ = static_cast<Index>(entries.size());
-    SortByKey(entries);
-
-    for (Index b = 0; b < entries.size();) {
-      Status fault = g_grid_rehash_fault.Check();
-      if (!fault.ok()) throw QueryAbort(std::move(fault));
-      Cell cell;
-      cell.key = UnpackKey(entries[b].key);
-      cell.begin = b;
-      const Point& first = points[entries[b].index];
-      cell.lo_x = cell.hi_x = first.x;
-      cell.lo_y = cell.hi_y = first.y;
-      Index e = b + 1;
-      for (; e < entries.size() && entries[e].key == entries[b].key; ++e) {
-        const Point& p = points[entries[e].index];
-        cell.lo_x = std::min(cell.lo_x, p.x);
-        cell.hi_x = std::max(cell.hi_x, p.x);
-        cell.lo_y = std::min(cell.lo_y, p.y);
-        cell.hi_y = std::max(cell.hi_y, p.y);
-      }
-      cell.end = e;
-      // Rounding is monotone, so no pair inside the box computes a larger
-      // distance than its extent does: the check is exact for the kernel.
-      cell.clique = Within(cell.hi_x - cell.lo_x, cell.hi_y - cell.lo_y);
-      if (!cell.clique) {
-        // x order lets ScanWithin stop each point's sweep early.
-        std::sort(entries.begin() + static_cast<std::ptrdiff_t>(b),
-                  entries.begin() + static_cast<std::ptrdiff_t>(e),
-                  [&points](const Entry& u, const Entry& v) {
-                    const double ux = points[u.index].x;
-                    const double vx = points[v.index].x;
-                    return ux != vx ? ux < vx : u.index < v.index;
-                  });
-      }
-      cell.node = num_nodes_;
-      num_nodes_ += cell.clique ? 1 : e - b;
-      cells_.push_back(cell);
-      b = e;
-    }
-
-    xs_.resize(n);
-    ys_.resize(n);
-    input_of_.resize(n);
-    node_of_input_.resize(n);
-    for (const Cell& cell : cells_) {
-      for (Index pos = cell.begin; pos < cell.end; ++pos) {
-        const Index i = entries[pos].index;
-        xs_[pos] = points[i].x;
-        ys_[pos] = points[i].y;
-        input_of_[pos] = i;
-        node_of_input_[i] = cell.clique ? cell.node
-                                        : cell.node + (pos - cell.begin);
-      }
-    }
-    Index pos = finite_points_;
-    for (const Index i : non_finite) {
-      xs_[pos] = points[i].x;
-      ys_[pos] = points[i].y;
-      input_of_[pos] = i;
-      node_of_input_[i] = num_nodes_++;
-      ++pos;
-    }
-  }
-
   /// Non-clique cell: each point against the later points of its x-sorted
   /// range, up to the first whose x distance alone fails the predicate
   /// (the x distance only grows along the range, so none after it match).
@@ -323,28 +211,21 @@ class CliqueGrid {
   void ScanWithin(const Cell& c, geom::BlockSimilarity& sim,
                   std::vector<uint64_t>& mask, GridPartitionStats& stats,
                   Record& record) const {
+    const double* xs = grid_.xs();
+    const double* ys = grid_.ys();
     size_t stop = c.begin;
     for (size_t a = c.begin; a < c.end; ++a) {
       stop = std::max(stop, a + 1);
-      while (stop < c.end && Within(xs_[stop] - xs_[a], 0.0)) ++stop;
+      while (stop < c.end && grid_.Within(xs[stop] - xs[a], 0.0)) ++stop;
       const size_t m = stop - a - 1;
       if (m == 0) continue;
       mask.resize(geom::KernelMaskWords(m));
       stats.distance_computations += m;
-      sim.Match(Point{xs_[a], ys_[a]}, xs_.data() + a + 1,
-                ys_.data() + a + 1, m, mask.data());
+      sim.Match(Point{xs[a], ys[a]}, xs + a + 1, ys + a + 1, m, mask.data());
       geom::ForEachSetBit(mask.data(), m, [&](size_t j) {
-        record(NodeAt(a), NodeAt(a + 1 + j), /*local=*/true);
+        record(grid_.NodeAt(a), grid_.NodeAt(a + 1 + j), /*local=*/true);
       });
     }
-  }
-
-  /// Whether the bounding boxes are farther apart than the predicate
-  /// accepts — then, by the same monotonicity, every cross pair is too.
-  bool Apart(const Cell& a, const Cell& b) const {
-    const double gx = std::max({0.0, b.lo_x - a.hi_x, a.lo_x - b.hi_x});
-    const double gy = std::max({0.0, b.lo_y - a.hi_y, a.lo_y - b.hi_y});
-    return !Within(gx, gy);
   }
 
   /// One neighbour pair: two cliques are joined at the first matching
@@ -353,7 +234,7 @@ class CliqueGrid {
   void Link(const Cell& a, const Cell& b, bool local, UnionFind& forest,
             geom::BlockSimilarity& sim, std::vector<uint64_t>& mask,
             GridPartitionStats& stats, Record& record) const {
-    if (Apart(a, b)) return;
+    if (grid_.Apart(a, b)) return;
     const bool cliques = a.clique && b.clique;
     if (cliques && local && forest.Find(a.node) == forest.Find(b.node)) {
       return;
@@ -363,36 +244,158 @@ class CliqueGrid {
     const Cell& probe = a_probes ? a : b;
     const Cell& block = a_probes ? b : a;
     const size_t m = block.end - block.begin;
+    const double* xs = grid_.xs();
+    const double* ys = grid_.ys();
     mask.resize(geom::KernelMaskWords(m));
     for (size_t p = probe.begin; p < probe.end; ++p) {
       stats.distance_computations += m;
-      const size_t hits =
-          sim.Match(Point{xs_[p], ys_[p]}, xs_.data() + block.begin,
-                    ys_.data() + block.begin, m, mask.data());
+      const size_t hits = sim.Match(Point{xs[p], ys[p]}, xs + block.begin,
+                                    ys + block.begin, m, mask.data());
       if (hits == 0) continue;
       if (cliques) {
         record(a.node, b.node, local);
         return;
       }
       geom::ForEachSetBit(mask.data(), m, [&](size_t j) {
-        record(NodeAt(p), NodeAt(block.begin + j), local);
+        record(grid_.NodeAt(p), grid_.NodeAt(block.begin + j), local);
       });
     }
   }
 
-  geom::BlockSimilarity sim_;
-  double width_;
-  std::vector<Cell> cells_;
-  Index num_nodes_ = 0;
-  Index finite_points_ = 0;
-  // Sorted SoA: finite points cell by cell, then the non-finite ones.
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  std::vector<Index> input_of_;       ///< SoA position -> input position
-  std::vector<Index> node_of_input_;  ///< input position -> forest node
+  const CliqueGrid& grid_;
 };
 
 }  // namespace
+
+CliqueGrid::CliqueGrid(std::span<const Point> points, Metric metric,
+                       double radius)
+    : sim_(metric, radius), width_(CellWidth(sim_.scalar())) {
+  Build(points);
+}
+
+void CliqueGrid::Build(std::span<const Point> points) {
+  const Index n = static_cast<Index>(points.size());
+  std::vector<Entry> entries;
+  entries.reserve(n);
+  std::vector<Index> non_finite;
+  for (Index i = 0; i < n; ++i) {
+    const Point& p = points[i];
+    if (std::isfinite(p.x) && std::isfinite(p.y)) {
+      entries.push_back(Entry{
+          PackKey(CellCoord(p.x, width_), CellCoord(p.y, width_)), i});
+    } else {
+      non_finite.push_back(i);
+    }
+  }
+  finite_points_ = static_cast<Index>(entries.size());
+  SortByKey(entries);
+
+  for (Index b = 0; b < entries.size();) {
+    Status fault = g_grid_rehash_fault.Check();
+    if (!fault.ok()) throw QueryAbort(std::move(fault));
+    Cell cell;
+    cell.key = UnpackKey(entries[b].key);
+    cell.begin = b;
+    const Point& first = points[entries[b].index];
+    cell.lo_x = cell.hi_x = first.x;
+    cell.lo_y = cell.hi_y = first.y;
+    Index e = b + 1;
+    for (; e < entries.size() && entries[e].key == entries[b].key; ++e) {
+      const Point& p = points[entries[e].index];
+      cell.lo_x = std::min(cell.lo_x, p.x);
+      cell.hi_x = std::max(cell.hi_x, p.x);
+      cell.lo_y = std::min(cell.lo_y, p.y);
+      cell.hi_y = std::max(cell.hi_y, p.y);
+    }
+    cell.end = e;
+    // Rounding is monotone, so no pair inside the box computes a larger
+    // distance than its extent does: the check is exact for the kernel.
+    cell.clique = Within(cell.hi_x - cell.lo_x, cell.hi_y - cell.lo_y);
+    if (!cell.clique) {
+      // x order lets ScanWithin stop each point's sweep early.
+      std::sort(entries.begin() + static_cast<std::ptrdiff_t>(b),
+                entries.begin() + static_cast<std::ptrdiff_t>(e),
+                [&points](const Entry& u, const Entry& v) {
+                  const double ux = points[u.index].x;
+                  const double vx = points[v.index].x;
+                  return ux != vx ? ux < vx : u.index < v.index;
+                });
+    }
+    cell.node = num_nodes_;
+    num_nodes_ += cell.clique ? 1 : e - b;
+    cells_.push_back(cell);
+    b = e;
+  }
+
+  xs_.resize(n);
+  ys_.resize(n);
+  input_of_.resize(n);
+  node_of_input_.resize(n);
+  for (const Cell& cell : cells_) {
+    for (Index pos = cell.begin; pos < cell.end; ++pos) {
+      const Index i = entries[pos].index;
+      xs_[pos] = points[i].x;
+      ys_[pos] = points[i].y;
+      input_of_[pos] = i;
+      node_of_input_[i] = cell.clique ? cell.node
+                                      : cell.node + (pos - cell.begin);
+    }
+  }
+  Index pos = finite_points_;
+  for (const Index i : non_finite) {
+    xs_[pos] = points[i].x;
+    ys_[pos] = points[i].y;
+    input_of_[pos] = i;
+    node_of_input_[i] = num_nodes_++;
+    ++pos;
+  }
+}
+
+void CliqueGrid::NeighbourCells(std::vector<Index>* offsets,
+                                std::vector<Index>* cells) const {
+  // Each pair once, from its first cell: the rest of its column, then
+  // columns cx+1 .. cx+kReach through monotone cursors, as in GridScan.
+  const size_t num_cells = cells_.size();
+  std::vector<std::pair<Index, Index>> pairs;
+  pairs.reserve(2 * num_cells);
+  std::vector<Index> degree(num_cells, 1);  // every cell lists itself
+  size_t cursor[kReach];
+  std::fill(cursor, cursor + kReach, size_t{1});
+  for (size_t k = 0; k < num_cells; ++k) {
+    const Cell& c = cells_[k];
+    auto column = [&](size_t k2, int32_t cx) {
+      for (; k2 < num_cells && cells_[k2].key.cx == cx &&
+             cells_[k2].key.cy <= c.key.cy + kReach;
+           ++k2) {
+        if (Apart(c, cells_[k2])) continue;
+        pairs.emplace_back(static_cast<Index>(k), static_cast<Index>(k2));
+        ++degree[k];
+        ++degree[k2];
+      }
+    };
+    column(k + 1, c.key.cx);
+    for (int32_t d = 1; d <= kReach; ++d) {
+      const CellKey first{c.key.cx + d, c.key.cy - kReach};
+      size_t& cur = cursor[d - 1];
+      while (cur < num_cells && cells_[cur].key < first) ++cur;
+      column(cur, c.key.cx + d);
+    }
+  }
+  offsets->resize(num_cells + 1);
+  (*offsets)[0] = 0;
+  for (size_t k = 0; k < num_cells; ++k) {
+    (*offsets)[k + 1] = (*offsets)[k] + degree[k];
+  }
+  cells->resize((*offsets)[num_cells]);
+  std::vector<Index> fill(offsets->begin(), offsets->end() - 1);
+  for (size_t k = 0; k < num_cells; ++k) {
+    (*cells)[fill[k]++] = static_cast<Index>(k);
+  }
+  for (const auto& [a, b] : pairs) {
+    (*cells)[fill[a]++] = b;
+    (*cells)[fill[b]++] = a;
+  }
+}
 
 GridComponents SimilarityComponents(
     std::span<const Point> points, Metric metric, double radius, size_t dop,
@@ -423,6 +426,7 @@ GridComponents SimilarityComponents(
   const CliqueGrid grid(points, metric, radius);
   const size_t num_cells = grid.num_cells();
   UnionFind forest(grid.num_nodes());
+  const GridScan scan(grid);
 
   // ---- Partition: contiguous cell ranges balanced by point count. -----
   const size_t num_parts = std::min(dop, num_cells);
@@ -449,7 +453,7 @@ GridComponents SimilarityComponents(
   // ---- Scan: each slot unions its own cell ranges. --------------------
   std::vector<std::vector<Edge>> slot_edges(dop);
   if (num_parts == 1) {
-    grid.ScanRange(0, num_cells, forest, slot_edges[0], slot_stats[0], ctx);
+    scan.ScanRange(0, num_cells, forest, slot_edges[0], slot_stats[0], ctx);
   } else if (num_parts > 1) {
     // Worker spans parent to whatever span is open on the calling thread
     // (the explicit-parent form: worker threads have no stack to inherit).
@@ -463,7 +467,7 @@ GridComponents SimilarityComponents(
           worker_span.AddAttribute(
               "partitions", static_cast<double>(part_end - part_begin));
           for (size_t p = part_begin; p < part_end; ++p) {
-            grid.ScanRange(part_range[p].first, part_range[p].second, forest,
+            scan.ScanRange(part_range[p].first, part_range[p].second, forest,
                            slot_edges[slot], slot_stats[slot], ctx);
           }
         },
@@ -474,7 +478,7 @@ GridComponents SimilarityComponents(
   for (const std::vector<Edge>& edges : slot_edges) {
     for (const Edge& e : edges) forest.Union(e.a, e.b);
   }
-  grid.ScanNonFinite(forest, slot_stats[0], ctx);
+  scan.ScanNonFinite(forest, slot_stats[0], ctx);
 
   // ---- Label components by first appearance in input order. -----------
   constexpr size_t kNone = static_cast<size_t>(-1);

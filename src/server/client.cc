@@ -52,22 +52,9 @@ Result<Client> Client::ConnectLoopback(uint16_t port) {
 }
 
 Status Client::BufferEventLine(const std::string& line) {
-  std::vector<std::string> fields = SplitFields(line.substr(6));
-  if (fields.size() != 6) {
-    return Status::IoError("malformed EVENT line: " + line);
-  }
-  DeltaEvent event;
-  event.query = std::move(fields[0]);
-  try {
-    event.window_start = std::stod(fields[1]);
-    event.window_end = std::stod(fields[2]);
-    event.point = std::stoll(fields[4]);
-    event.groups = std::stoll(fields[5]);
-  } catch (...) {
-    return Status::IoError("malformed EVENT line: " + line);
-  }
-  event.kind = std::move(fields[3]);
-  events_.push_back(std::move(event));
+  Result<DeltaEvent> event = ParseEventLine(line);
+  if (!event.ok()) return event.status();
+  events_.push_back(std::move(event).value());
   return Status::OK();
 }
 

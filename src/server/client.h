@@ -9,6 +9,7 @@
 
 #include "common/socket.h"
 #include "common/status.h"
+#include "server/protocol.h"
 
 namespace sgb::server {
 
@@ -19,18 +20,6 @@ namespace sgb::server {
 struct QueryResult {
   std::vector<std::string> columns;
   std::vector<std::vector<std::string>> rows;
-};
-
-/// One decoded EVENT push from a SUBSCRIBEd continuous query
-/// (docs/STREAMING.md): a group delta of one window close.
-struct DeltaEvent {
-  std::string query;
-  double window_start = 0.0;
-  double window_end = 0.0;
-  std::string kind;    ///< group_formed | member_added | groups_merged |
-                       ///< window_closed
-  int64_t point = -1;  ///< arrival sequence number (-1 on window_closed)
-  int64_t groups = 0;
 };
 
 /// Driver-style synchronous client for the line protocol (protocol.h).

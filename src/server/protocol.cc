@@ -1,6 +1,10 @@
 #include "server/protocol.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdio>
+
+#include "engine/continuous.h"
 
 namespace sgb::server {
 
@@ -105,7 +109,7 @@ std::string EscapeField(const std::string& raw) {
   return out;
 }
 
-std::string UnescapeField(const std::string& field) {
+std::string UnescapeField(std::string_view field) {
   std::string out;
   out.reserve(field.size());
   for (size_t i = 0; i < field.size(); ++i) {
@@ -195,6 +199,64 @@ Status::Code ParseStatusCodeToken(const std::string& token) {
   if (token == "cancelled") return Status::Code::kCancelled;
   if (token == "io_error") return Status::Code::kIoError;
   return Status::Code::kInternal;
+}
+
+std::string FormatEventLines(const engine::DeltaBatch& batch) {
+  // "EVENT <query>\t<start>\t<end>\t" is the same on every line.
+  std::string prefix = "EVENT " + EscapeField(batch.query);
+  char bounds[64];
+  const int len = std::snprintf(bounds, sizeof(bounds), "\t%.17g\t%.17g\t",
+                                batch.window_start, batch.window_end);
+  prefix.append(bounds, static_cast<size_t>(len));
+
+  std::string out;
+  // The prefix, the longest kind, two 20-digit integers, tabs, newline.
+  out.reserve(batch.deltas.size() * (prefix.size() + 64));
+  char digits[24];
+  auto append_int = [&](int64_t v) {
+    const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), v);
+    out.append(digits, end);
+  };
+  for (const engine::GroupDelta& delta : batch.deltas) {
+    out += prefix;
+    out += EscapeField(delta.kind);
+    out.push_back('\t');
+    append_int(delta.point);
+    out.push_back('\t');
+    append_int(delta.groups);
+    out.push_back('\n');
+  }
+  return out;
+}
+
+Result<DeltaEvent> ParseEventLine(std::string_view line) {
+  auto malformed = [line] {
+    return Status::IoError("malformed EVENT line: " + std::string(line));
+  };
+  constexpr std::string_view kVerb = "EVENT ";
+  if (line.substr(0, kVerb.size()) != kVerb) return malformed();
+  std::string_view fields[6];
+  std::string_view rest = line.substr(kVerb.size());
+  for (size_t f = 0; f < 6; ++f) {
+    const size_t tab = rest.find('\t');
+    if ((tab == std::string_view::npos) != (f == 5)) return malformed();
+    fields[f] = rest.substr(0, tab);
+    if (tab != std::string_view::npos) rest.remove_prefix(tab + 1);
+  }
+  auto parse = [](std::string_view field, auto* value) {
+    const auto [end, ec] =
+        std::from_chars(field.data(), field.data() + field.size(), *value);
+    return ec == std::errc() && end == field.data() + field.size();
+  };
+  DeltaEvent event;
+  if (!parse(fields[1], &event.window_start) ||
+      !parse(fields[2], &event.window_end) ||
+      !parse(fields[4], &event.point) || !parse(fields[5], &event.groups)) {
+    return malformed();
+  }
+  event.query = UnescapeField(fields[0]);
+  event.kind = UnescapeField(fields[3]);
+  return event;
 }
 
 }  // namespace sgb::server

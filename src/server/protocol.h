@@ -1,11 +1,17 @@
 #ifndef SGB_SERVER_PROTOCOL_H_
 #define SGB_SERVER_PROTOCOL_H_
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/table.h"
+
+namespace sgb::engine {
+struct DeltaBatch;  // engine/continuous.h
+}
 
 namespace sgb::server {
 
@@ -61,7 +67,30 @@ Result<Command> ParseCommand(const std::string& line);
 std::string EscapeField(const std::string& raw);
 
 /// Inverse of EscapeField; unknown escapes pass through verbatim.
-std::string UnescapeField(const std::string& field);
+std::string UnescapeField(std::string_view field);
+
+/// One decoded EVENT push from a SUBSCRIBEd continuous query
+/// (docs/STREAMING.md): a group delta of one window close.
+struct DeltaEvent {
+  std::string query;
+  double window_start = 0.0;
+  double window_end = 0.0;
+  std::string kind;    ///< group_formed | member_added | groups_merged |
+                       ///< window_closed
+  int64_t point = -1;  ///< arrival sequence number (-1 on window_closed)
+  int64_t groups = 0;
+};
+
+/// The EVENT lines of one window close, one per group delta:
+///   EVENT <query>\t<start>\t<end>\t<kind>\t<point>\t<groups>\n
+/// with the query and kind escaped and the window bounds as "%.17g", so
+/// they round-trip exactly.
+std::string FormatEventLines(const engine::DeltaBatch& batch);
+
+/// Decodes one EVENT line (without its '\n'). IoError("malformed EVENT
+/// line: ...") unless it carries exactly six fields whose bounds, point
+/// and count parse in full.
+Result<DeltaEvent> ParseEventLine(std::string_view line);
 
 /// Tab-separated escaped column names of `table`.
 std::string FormatHeader(const engine::Table& table);

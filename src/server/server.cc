@@ -21,35 +21,6 @@ namespace {
 
 constexpr auto kWatchdogInterval = std::chrono::milliseconds(20);
 
-/// Round-trip double rendering for EVENT window bounds.
-std::string FormatDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// One EVENT line per group delta (protocol.h): six tab-separated escaped
-/// fields after the verb.
-std::string FormatEventLines(const engine::DeltaBatch& batch) {
-  std::string out;
-  for (const engine::GroupDelta& delta : batch.deltas) {
-    out += "EVENT ";
-    out += EscapeField(batch.query);
-    out.push_back('\t');
-    out += FormatDouble(batch.window_start);
-    out.push_back('\t');
-    out += FormatDouble(batch.window_end);
-    out.push_back('\t');
-    out += EscapeField(delta.kind);
-    out.push_back('\t');
-    out += std::to_string(delta.point);
-    out.push_back('\t');
-    out += std::to_string(delta.groups);
-    out.push_back('\n');
-  }
-  return out;
-}
-
 }  // namespace
 
 Server::Server(const engine::Database* db, ServerOptions options)

@@ -1,12 +1,12 @@
-// Streaming incremental SGB (docs/STREAMING.md): CREATE CONTINUOUS QUERY
-// registration and validation, watermark-driven window close, the
-// batch-equivalence differential regime (every close is checked inside the
-// engine; these tests drive it across metrics x semantics x overlap
+// Streaming SGB (docs/STREAMING.md): CREATE CONTINUOUS QUERY registration
+// and validation, watermark-driven window close, the differential regime
+// (every close checks its batch grouping against its arrival replay inside
+// the engine; these tests drive it across metrics x semantics x overlap
 // policies x dop x window shapes), out-of-order arrival convergence,
-// bounded-regrouping and permutation-invariance properties of the
-// incremental cores, stats-refresh plan invalidation, fault recovery at
-// the window-close site, and the server SUBSCRIBE surface end to end —
-// including the 8-subscriber hammer the streaming-smoke TSan CI job runs.
+// non-finite coordinates, stats-refresh plan invalidation, fault recovery
+// at the window-close site, close-latency introspection, and the server
+// SUBSCRIBE surface end to end — including the 8-subscriber hammer the
+// streaming-smoke TSan CI job runs.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -14,19 +14,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "common/fault_injection.h"
 #include "common/random.h"
-#include "core/sgb_all.h"
-#include "core/sgb_any.h"
-#include "core/sgb_incremental.h"
 #include "engine/continuous.h"
 #include "engine/executor.h"
 #include "server/client.h"
@@ -411,158 +407,151 @@ TEST_F(ContinuousTest, ShuffledArrivalsConvergeToIdenticalCloses) {
   }
 }
 
-// ---- incremental core properties ----------------------------------------
+// ---- non-finite coordinates ---------------------------------------------
 
-/// Canonical order for direct core tests: sort by (x, y), index tiebreak.
-std::vector<size_t> CanonicalOrder(const std::vector<geom::Point>& pts) {
-  std::vector<size_t> order(pts.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return std::tie(pts[a].x, pts[a].y, a) < std::tie(pts[b].x, pts[b].y, b);
-  });
-  return order;
+/// One close as text: bounds, counts, then kind/point/groups per delta.
+std::string CloseText(const DeltaBatch& b) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "[%g,%g) rows=%zu groups=%zu elim=%zu:",
+                b.window_start, b.window_end, b.rows, b.num_groups,
+                b.eliminated);
+  std::string out = buf;
+  for (const GroupDelta& d : b.deltas) {
+    std::snprintf(buf, sizeof(buf), " %s/%lld/%lld", d.kind.c_str(),
+                  static_cast<long long>(d.point),
+                  static_cast<long long>(d.groups));
+    out += buf;
+  }
+  return out;
 }
 
-TEST_F(ContinuousTest, IncrementalAnyIsPermutationInvariantAndMonotone) {
-  Rng rng(47);
-  std::vector<geom::Point> pts;
-  for (size_t i = 0; i < 150; ++i) {
-    pts.push_back(
-        {rng.NextUniform(0, 12), rng.NextUniform(0, 12)});
-  }
-  core::SgbAnyOptions options;
-  options.epsilon = 0.9;
-
-  // Reference grouping: batch SgbAny over the canonical arrangement.
-  const std::vector<size_t> canonical = CanonicalOrder(pts);
-  std::vector<geom::Point> arranged;
-  for (size_t i : canonical) arranged.push_back(pts[i]);
-  auto batch = core::SgbAny(arranged, options);
-  ASSERT_TRUE(batch.ok());
-
-  for (const uint64_t perm_seed : {1ull, 2ull, 3ull, 4ull}) {
-    SCOPED_TRACE(perm_seed);
-    std::vector<size_t> arrival(pts.size());
-    std::iota(arrival.begin(), arrival.end(), size_t{0});
-    Rng perm(perm_seed);
-    for (size_t i = arrival.size(); i > 1; --i) {
-      std::swap(arrival[i - 1],
-                arrival[static_cast<size_t>(
-                    perm.NextInt(0, static_cast<int64_t>(i) - 1))]);
-    }
-
-    core::IncrementalSgbAny inc(options);
-    // arrival_pos[original index] = position in this insertion order.
-    std::vector<size_t> arrival_pos(pts.size());
-    size_t groups = 0;
-    for (size_t k = 0; k < arrival.size(); ++k) {
-      arrival_pos[arrival[k]] = k;
-      auto event = inc.Insert(pts[arrival[k]]);
-      ASSERT_TRUE(event.ok());
-      // Monotonicity: an arrival creates one group, joins one, or merges
-      // m >= 2 into one — the component count never jumps any other way.
-      switch (event.value().kind) {
-        case core::DeltaEvent::Kind::kGroupFormed:
-          groups += 1;
-          break;
-        case core::DeltaEvent::Kind::kMemberAdded:
-          break;
-        case core::DeltaEvent::Kind::kGroupsMerged:
-          ASSERT_GE(event.value().merged_groups, 2u);
-          groups -= event.value().merged_groups - 1;
-          break;
-      }
-      ASSERT_EQ(inc.num_groups(), groups);
-    }
-
-    // Snapshot over the canonical arrangement is bit-identical to batch,
-    // whatever order the points arrived in.
-    std::vector<size_t> order;  // canonical, expressed in arrival positions
-    for (size_t i : canonical) order.push_back(arrival_pos[i]);
-    auto snap = inc.Snapshot(order);
-    ASSERT_TRUE(snap.ok());
-    EXPECT_EQ(snap.value().num_groups, batch.value().num_groups);
-    EXPECT_EQ(snap.value().group_of, batch.value().group_of);
-  }
-}
-
-TEST_F(ContinuousTest, IncrementalAllMatchesSerialBatchWithIdentityKeys) {
-  Rng rng(53);
-  std::vector<geom::Point> pts;
-  std::vector<uint64_t> keys;
-  for (size_t i = 0; i < 120; ++i) {
-    pts.push_back({rng.NextUniform(0, 10), rng.NextUniform(0, 10)});
-    keys.push_back(rng.NextU64());
-  }
-  for (const auto on_overlap :
-       {core::OverlapClause::kJoinAny, core::OverlapClause::kEliminate,
-        core::OverlapClause::kFormNewGroup}) {
-    SCOPED_TRACE(static_cast<int>(on_overlap));
-    core::SgbAllOptions options;
-    options.epsilon = 0.8;
-    options.on_overlap = on_overlap;
-
-    core::IncrementalSgbAll inc(options);
-    for (size_t i = 0; i < pts.size(); ++i) {
-      ASSERT_TRUE(inc.Insert(pts[i], keys[i]).ok());
-    }
-    const std::vector<size_t> canonical = CanonicalOrder(pts);
-    auto snap = inc.Snapshot(canonical);
-    ASSERT_TRUE(snap.ok());
-
-    std::vector<geom::Point> arranged;
-    std::vector<uint64_t> arranged_keys;
-    for (size_t i : canonical) {
-      arranged.push_back(pts[i]);
-      arranged_keys.push_back(keys[i]);
-    }
-    core::SgbAllOptions batch_options = options;
-    batch_options.arbitration_keys = arranged_keys;
-    auto batch = core::SgbAll(arranged, batch_options);
-    ASSERT_TRUE(batch.ok());
-    EXPECT_EQ(snap.value().num_groups, batch.value().num_groups);
-    EXPECT_EQ(snap.value().group_of, batch.value().group_of);
-  }
-}
-
-TEST_F(ContinuousTest, IncrementalAllRegroupingIsBoundedToTheDirtyNeighborhood) {
-  // Two interaction components far beyond 3 epsilon of each other: a big
-  // cluster whose size varies, and a small fixed cluster that receives a
-  // late arrival. The snapshot after that arrival must re-run only the
-  // small component — its distance-computation count cannot depend on the
-  // big cluster's size.
-  auto run = [](size_t big_cluster_size) {
-    core::SgbAllOptions options;
-    options.epsilon = 0.3;
-    core::IncrementalSgbAll inc(options);
-    Rng rng(61);
-    uint64_t key = 1;
-    for (size_t i = 0; i < big_cluster_size; ++i) {
-      EXPECT_TRUE(
-          inc.Insert({rng.NextUniform(0, 2), rng.NextUniform(0, 2)}, key++)
-              .ok());
-    }
-    for (size_t i = 0; i < 6; ++i) {
-      EXPECT_TRUE(inc.Insert({100.0 + 0.1 * static_cast<double>(i), 100.0},
-                             key++)
-                      .ok());
-    }
-    std::vector<size_t> order(inc.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    EXPECT_TRUE(inc.Snapshot(order).ok());  // everything clean now
-
-    // One arrival lands in the small far cluster.
-    EXPECT_TRUE(inc.Insert({100.35, 100.0}, key++).ok());
-    order.push_back(order.size());
-    core::SgbAllStats stats;
-    EXPECT_TRUE(inc.Snapshot(order, &stats).ok());
-    return stats.distance_computations;
+// NaN and ±inf coordinates streamed in one batch close every window and
+// publish the same deltas the per-arrival incremental cores published:
+// under L2 a non-finite point matches nothing; under SGB-All's rectangle
+// tests an infinite coordinate meets only the same infinity and NaN
+// nothing. The rows go straight to the manager, since SQL has no NaN
+// literal.
+TEST_F(ContinuousTest, NonFiniteCoordinatesCloseWithStableDeltas) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto row = [](double t, double x, double y) {
+    return Row{Value::Int(0), Value::Double(t), Value::Double(x),
+               Value::Double(y)};
   };
-  const size_t small_run = run(200);
-  const size_t big_run = run(500);
-  EXPECT_EQ(small_run, big_run);
-  // And the re-run really is local: 7 points of work, not hundreds.
-  EXPECT_LE(small_run, 100u);
+  const std::vector<Row> rows = {
+      row(1, 0, 0),        row(2, kInf, 0),     row(2.5, kNaN, 0),
+      row(3, 0.5, 0),      row(4, kInf, 0.5),   row(6, -kInf, kInf),
+      row(7, -kInf, kInf), row(8, 0.9, 0.1),    row(9, kInf, 0),
+      row(7.5, 3, kNaN),   row(8.5, kNaN, kNaN)};
+  const std::string l2_any_windows[] = {
+      "[-5,5) rows=5 groups=4 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 group_formed/4/0 "
+      "window_closed/-1/4",
+      "[0,10) rows=11 groups=9 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 group_formed/4/0 group_formed/5/0 "
+      "group_formed/6/0 member_added/7/1 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/9",
+      "[5,15) rows=6 groups=6 elim=0: group_formed/5/0 group_formed/6/0 "
+      "group_formed/7/0 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/6"};
+  const std::string l2_all_windows[] = {
+      "[-5,5) rows=5 groups=3 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 group_formed/4/0 "
+      "window_closed/-1/3",
+      "[0,10) rows=11 groups=6 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 group_formed/4/0 group_formed/5/0 "
+      "group_formed/6/0 member_added/7/1 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/6",
+      "[5,15) rows=6 groups=5 elim=0: group_formed/5/0 group_formed/6/0 "
+      "group_formed/7/0 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/5"};
+  const std::string linf_all_windows[] = {
+      "[-5,5) rows=5 groups=3 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 member_added/4/1 "
+      "window_closed/-1/3",
+      "[0,10) rows=11 groups=6 elim=0: group_formed/0/0 group_formed/1/0 "
+      "group_formed/2/0 member_added/3/1 member_added/4/1 group_formed/5/0 "
+      "group_formed/6/0 member_added/7/1 member_added/8/1 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/6",
+      "[5,15) rows=6 groups=5 elim=0: group_formed/5/0 group_formed/6/0 "
+      "group_formed/7/0 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/5"};
+  // SGB-Any under L∞ follows the batch kernel, whose fmax skips a NaN
+  // axis: (NaN, 0) matches both (0, 0) and (inf, 0).
+  const std::string linf_any_windows[] = {
+      "[-5,5) rows=5 groups=1 elim=0: group_formed/0/0 group_formed/1/0 "
+      "groups_merged/2/2 member_added/3/1 member_added/4/1 "
+      "window_closed/-1/1",
+      "[0,10) rows=11 groups=5 elim=0: group_formed/0/0 group_formed/1/0 "
+      "groups_merged/2/2 member_added/3/1 member_added/4/1 "
+      "group_formed/5/0 group_formed/6/0 member_added/7/1 member_added/8/1 "
+      "group_formed/9/0 group_formed/10/0 window_closed/-1/5",
+      "[5,15) rows=6 groups=6 elim=0: group_formed/5/0 group_formed/6/0 "
+      "group_formed/7/0 group_formed/8/0 group_formed/9/0 "
+      "group_formed/10/0 window_closed/-1/6"};
+  const std::pair<std::string, const std::string*> specs[] = {
+      {"DISTANCE-TO-ANY L2 WITHIN 1", l2_any_windows},
+      {"DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP JOIN-ANY", l2_all_windows},
+      {"DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP FORM-NEW-GROUP",
+       l2_all_windows},
+      {"DISTANCE-TO-ALL LINF WITHIN 1 ON-OVERLAP ELIMINATE",
+       linf_all_windows},
+      {"DISTANCE-TO-ANY LINF WITHIN 1", linf_any_windows},
+  };
+  for (const auto& [spec, windows] : specs) {
+    SCOPED_TRACE(spec);
+    Database db;
+    ASSERT_TRUE(CreateEventsTable(db).ok());
+    ASSERT_TRUE(db.Query("CREATE CONTINUOUS QUERY cq AS SELECT count(*) "
+                         "FROM events GROUP BY x, y " +
+                         spec + " WINDOW SLIDING 10 ADVANCE 5 ON t")
+                    .ok());
+    std::vector<std::string> closes;
+    ASSERT_TRUE(db.continuous()
+                    .Subscribe("cq",
+                               [&closes](const DeltaBatch& b) {
+                                 closes.push_back(CloseText(b));
+                                 return true;
+                               })
+                    .ok());
+    ASSERT_TRUE(db.continuous().OnInsert(db.catalog(), "events", rows).ok());
+    ASSERT_TRUE(db.continuous()
+                    .OnInsert(db.catalog(), "events", {row(100, 0, 0)})
+                    .ok());
+    ASSERT_EQ(closes.size(), 3u);
+    for (size_t w = 0; w < 3; ++w) EXPECT_EQ(closes[w], windows[w]);
+  }
+}
+
+// ---- close latency --------------------------------------------------------
+
+TEST_F(ContinuousTest, CloseLatencyQuantilesAppearAfterTheFirstClose) {
+  Database db;
+  ASSERT_TRUE(CreateEventsTable(db).ok());
+  ASSERT_TRUE(db.Query("CREATE CONTINUOUS QUERY cq AS SELECT count(*) "
+                       "FROM events GROUP BY x, y DISTANCE-TO-ALL L2 "
+                       "WITHIN 1 WINDOW TUMBLING 10 ON t")
+                  .ok());
+  const std::string sql =
+      "SELECT close_us_p50, close_us_p99 FROM system.continuous_queries";
+  ASSERT_TRUE(
+      db.Query("INSERT INTO events VALUES (1, 1, 0, 0), (2, 2, 1, 0)").ok());
+  auto before = db.Query(sql);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_TRUE(before.value().rows()[0][0].is_null());
+  EXPECT_TRUE(before.value().rows()[0][1].is_null());
+
+  ASSERT_TRUE(db.Query("INSERT INTO events VALUES (3, 12, 5, 5), "
+                       "(4, 25, 6, 6)")
+                  .ok());
+  EXPECT_EQ(SysInt(db, "cq", "windows_closed"), 2);
+  auto after = db.Query(sql);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const Row& r = after.value().rows()[0];
+  ASSERT_FALSE(r[0].is_null());
+  ASSERT_FALSE(r[1].is_null());
+  EXPECT_GE(r[0].AsDouble(), 0.0);
+  EXPECT_GE(r[1].AsDouble(), r[0].AsDouble());
 }
 
 // ---- stats refresh and plan invalidation --------------------------------

@@ -27,6 +27,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -539,8 +540,11 @@ TEST(SgbFuzzTest, TracedExecutionMatchesUntraced) {
 // and every predicted close is re-derived from the serial All-Pairs core
 // over the window's canonical (t, x, y) order — with the engine's own
 // content-derived arbitration keys for SGB-All — then compared against
-// the stream's published close records. A mismatch is greedily minimized
-// by row removal and printed as a paste-able repro.
+// the stream's published close records. Each close's per-arrival deltas
+// are predicted by a brute-force O(n²) replay of the documented
+// definitions ("Delta events") and compared kind, point and count alike.
+// A mismatch is greedily minimized by row removal and printed as a
+// paste-able repro.
 TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
   using engine::ContinuousQueryManager;
   using engine::Database;
@@ -552,12 +556,19 @@ TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
     double x = 0;
     double y = 0;
   };
+  struct DeltaRec {
+    std::string kind;
+    int64_t point = -1;
+    int64_t groups = 0;
+    bool operator==(const DeltaRec&) const = default;
+  };
   struct CloseRec {
     double start = 0;
     double end = 0;
     size_t rows = 0;
     size_t groups = 0;
     size_t eliminated = 0;
+    std::vector<DeltaRec> deltas;
     bool operator==(const CloseRec&) const = default;
   };
 
@@ -627,8 +638,12 @@ TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
       std::vector<CloseRec> closes;
       auto sub = db.continuous().Subscribe(
           "fz", [&closes](const DeltaBatch& b) {
-            closes.push_back(CloseRec{b.window_start, b.window_end, b.rows,
-                                      b.num_groups, b.eliminated});
+            CloseRec rec{b.window_start, b.window_end, b.rows,
+                         b.num_groups, b.eliminated, {}};
+            for (const engine::GroupDelta& d : b.deltas) {
+              rec.deltas.push_back(DeltaRec{d.kind, d.point, d.groups});
+            }
+            closes.push_back(std::move(rec));
             return true;
           });
       SGB_RETURN_IF_ERROR(sub.status());
@@ -651,16 +666,65 @@ TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
 
     // Independent prediction: simulate the window bookkeeping row by row,
     // then re-derive every close from the serial All-Pairs core.
+    // A row as it reached one window: its arrival sequence number is its
+    // position in the whole stream (every row here is numeric).
+    struct Arrival {
+      StreamRow row;
+      int64_t seq = 0;
+    };
+    // Per-arrival deltas (docs/STREAMING.md "Delta events"), brute force:
+    // replay the window's rows in arrival order; each arrival counts the
+    // distinct components, over the window's earlier arrivals, that its
+    // ε-neighbours belong to, then joins the components it links to.
+    // SGB-Any links ε-neighbours; SGB-All links 3ε-L∞ neighbours.
+    auto replay_deltas = [&](const std::vector<Arrival>& in_window) {
+      const size_t m = in_window.size();
+      std::vector<size_t> parent(m);
+      std::iota(parent.begin(), parent.end(), size_t{0});
+      auto find = [&parent](size_t a) {
+        while (parent[a] != a) a = parent[a] = parent[parent[a]];
+        return a;
+      };
+      std::vector<DeltaRec> deltas;
+      for (size_t i = 0; i < m; ++i) {
+        const Point p{in_window[i].row.x, in_window[i].row.y};
+        std::vector<size_t> touched;
+        std::vector<size_t> linked;
+        for (size_t j = 0; j < i; ++j) {
+          const Point q{in_window[j].row.x, in_window[j].row.y};
+          if (geom::Similar(p, q, config.metric, config.epsilon)) {
+            touched.push_back(find(j));
+          }
+          const bool link =
+              any_kind ? geom::Similar(p, q, config.metric, config.epsilon)
+                       : geom::Similar(p, q, Metric::kLInf,
+                                       3.0 * config.epsilon);
+          if (link) linked.push_back(j);
+        }
+        std::sort(touched.begin(), touched.end());
+        const size_t count = static_cast<size_t>(
+            std::unique(touched.begin(), touched.end()) - touched.begin());
+        for (const size_t j : linked) parent[find(j)] = find(i);
+        deltas.push_back(DeltaRec{count == 0   ? "group_formed"
+                                  : count == 1 ? "member_added"
+                                               : "groups_merged",
+                                  in_window[i].seq,
+                                  static_cast<int64_t>(count)});
+      }
+      return deltas;
+    };
+
     auto expect = [&](const std::vector<StreamRow>& input)
         -> std::vector<CloseRec> {
-      std::map<int64_t, std::vector<StreamRow>> open;
+      std::map<int64_t, std::vector<Arrival>> open;
       int64_t next_unclosed = std::numeric_limits<int64_t>::min();
       bool has_watermark = false;
       double watermark = 0;
       std::vector<CloseRec> closes;
-      auto oracle = [&](const std::vector<StreamRow>& in_window,
+      auto oracle = [&](const std::vector<Arrival>& in_window,
                         double start, double end) {
-        std::vector<StreamRow> sorted = in_window;
+        std::vector<StreamRow> sorted;
+        for (const Arrival& a : in_window) sorted.push_back(a.row);
         std::stable_sort(sorted.begin(), sorted.end(),
                          [](const StreamRow& a, const StreamRow& b) {
                            if (a.t != b.t) return a.t < b.t;
@@ -687,9 +751,11 @@ TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
           options.arbitration_keys = keys;
           grouping = SgbAll(wpts, options).value();
         }
-        closes.push_back(CloseRec{start, end, sorted.size(),
-                                  grouping.num_groups,
-                                  grouping.NumEliminated()});
+        CloseRec rec{start, end, sorted.size(), grouping.num_groups,
+                     grouping.NumEliminated(), replay_deltas(in_window)};
+        rec.deltas.push_back(DeltaRec{"window_closed", -1,
+                                      static_cast<int64_t>(rec.groups)});
+        closes.push_back(std::move(rec));
       };
       for (size_t i = 0; i < input.size();) {
         const size_t stmt = input[i].batch;
@@ -706,7 +772,9 @@ TEST(SgbFuzzTest, StreamingClosesMatchAllPairsOracle) {
             if (r.t < start || r.t >= start + size) continue;
             // Late rows — w < next_unclosed — are dropped, matching the
             // closed-window-only lateness rule.
-            if (w >= next_unclosed) open[w].push_back(r);
+            if (w >= next_unclosed) {
+              open[w].push_back(Arrival{r, static_cast<int64_t>(i)});
+            }
           }
           stmt_max = std::max(stmt_max, r.t);
         }

@@ -1,6 +1,6 @@
 // Wire-protocol codec tests (docs/SERVER.md "Wire protocol"): command
-// parsing, field escaping, result formatting, and the Status code tokens
-// ERR lines carry.
+// parsing, field escaping, result formatting, the Status code tokens ERR
+// lines carry, and the EVENT lines of continuous-query pushes.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "engine/continuous.h"
 #include "engine/table.h"
 #include "server/protocol.h"
 
@@ -115,6 +116,70 @@ TEST(ProtocolTest, StatusCodeTokensRoundTrip) {
   }
   EXPECT_EQ(ParseStatusCodeToken("some_future_code"),
             Status::Code::kInternal);
+}
+
+engine::DeltaBatch SampleBatch() {
+  engine::DeltaBatch batch;
+  batch.query = "hot\tspots";
+  batch.window_start = -5.0;
+  batch.window_end = 0.1;
+  batch.deltas = {{"group_formed", 0, 0},
+                  {"groups_merged", 9007199254740993, 2},
+                  {"window_closed", -1, 1}};
+  return batch;
+}
+
+// The exact bytes subscribers receive: the query escaped, the bounds in
+// %.17g, the integers in decimal, one line per delta.
+TEST(ProtocolTest, EventLinesPinTheWireFormat) {
+  EXPECT_EQ(FormatEventLines(SampleBatch()),
+            "EVENT hot\\tspots\t-5\t0.10000000000000001\tgroup_formed\t0\t0\n"
+            "EVENT hot\\tspots\t-5\t0.10000000000000001\tgroups_merged\t"
+            "9007199254740993\t2\n"
+            "EVENT hot\\tspots\t-5\t0.10000000000000001\twindow_closed\t-1\t1\n");
+  engine::DeltaBatch empty;
+  empty.query = "q";
+  EXPECT_EQ(FormatEventLines(empty), "");
+}
+
+TEST(ProtocolTest, EventLinesRoundTripThroughTheParser) {
+  const engine::DeltaBatch batch = SampleBatch();
+  const std::string lines = FormatEventLines(batch);
+  size_t start = 0;
+  for (const engine::GroupDelta& delta : batch.deltas) {
+    const size_t end = lines.find('\n', start);
+    ASSERT_NE(end, std::string::npos);
+    auto event = ParseEventLine(lines.substr(start, end - start));
+    ASSERT_TRUE(event.ok()) << event.status().ToString();
+    EXPECT_EQ(event.value().query, batch.query);
+    EXPECT_EQ(event.value().window_start, batch.window_start);
+    EXPECT_EQ(event.value().window_end, batch.window_end);
+    EXPECT_EQ(event.value().kind, delta.kind);
+    EXPECT_EQ(event.value().point, delta.point);
+    EXPECT_EQ(event.value().groups, delta.groups);
+    start = end + 1;
+  }
+  EXPECT_EQ(start, lines.size());
+}
+
+TEST(ProtocolTest, MalformedEventLinesAreIoErrors) {
+  const std::string cases[] = {
+      "EVENT q\t0\t10\tgroup_formed\t3",           // five fields
+      "EVENT q\t0\t10\tgroup_formed\t3\t0\t7",     // seven fields
+      "EVENT q\tzero\t10\tgroup_formed\t3\t0",      // bad start
+      "EVENT q\t0\t10x\tgroup_formed\t3\t0",        // trailing junk
+      "EVENT q\t0\t10\tgroup_formed\t3.5\t0",       // fractional point
+      "EVENT q\t0\t10\tgroup_formed\t3\t",          // empty count
+      "EVENT q\t0\t10\tgroup_formed\t3\t99999999999999999999",  // range
+      "EVNT q\t0\t10\tgroup_formed\t3\t0",          // wrong verb
+  };
+  for (const std::string& line : cases) {
+    SCOPED_TRACE(line);
+    auto event = ParseEventLine(line);
+    ASSERT_FALSE(event.ok());
+    EXPECT_EQ(event.status().code(), Status::Code::kIoError);
+    EXPECT_EQ(event.status().message(), "malformed EVENT line: " + line);
+  }
 }
 
 }  // namespace
