@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <optional>
 
 #include "common/query_context.h"
 #include "geom/rect.h"

@@ -92,11 +92,11 @@ struct SgbAllOptions {
   /// Optional per-point arbitration keys (parallel to `points`; empty = use
   /// the point's input index). When set, the JOIN-ANY pick hashes
   /// (seed, arbitration_keys[i]) instead of (seed, i), making the pick a
-  /// pure function of the point's identity rather than its position. The
-  /// incremental maintenance path (docs/STREAMING.md) relies on this:
-  /// a late arrival shifts the canonical indices of every later point, but
-  /// with identity keys the batch re-execution and the maintained state
-  /// arbitrate identically. Non-owning; must outlive the call.
+  /// pure function of the point's identity rather than its position.
+  /// Continuous-query closes (docs/STREAMING.md) rely on this: a late
+  /// arrival shifts the canonical indices of every later point, but with
+  /// identity keys a window's close is a function of its rows alone.
+  /// Non-owning; must outlive the call.
   std::span<const uint64_t> arbitration_keys;
 };
 

@@ -89,9 +89,9 @@ class Database {
   /// The registry behind system.sessions.
   SessionRegistry& sessions() const { return *sessions_; }
 
-  /// The CREATE CONTINUOUS QUERY registry (docs/STREAMING.md): incremental
-  /// window maintenance, delta subscriptions (the server's SUBSCRIBE verb),
-  /// and the system.continuous_queries surface.
+  /// The CREATE CONTINUOUS QUERY registry (docs/STREAMING.md): window
+  /// maintenance and closes, delta subscriptions (the server's SUBSCRIBE
+  /// verb), and the system.continuous_queries surface.
   ContinuousQueryManager& continuous() const { return *continuous_; }
 
   /// Parses + plans the SQL (ignoring any EXPLAIN prefix); the returned

@@ -196,8 +196,8 @@ struct AnalyzeStatement {
 };
 
 /// CREATE CONTINUOUS QUERY [IF NOT EXISTS] name AS SELECT ... WINDOW ... —
-/// registers an incrementally maintained similarity group-by over an
-/// append-only table (docs/STREAMING.md). The inner SELECT must carry a
+/// registers a standing similarity group-by over the event-time windows of
+/// an append-only table (docs/STREAMING.md). The inner SELECT must carry a
 /// SIMILARITY GROUP BY (DISTANCE-TO-ALL/ANY) and a WINDOW clause.
 struct CreateContinuousStatement {
   std::string name;

@@ -425,12 +425,11 @@ std::string CloseText(const DeltaBatch& b) {
   return out;
 }
 
-// NaN and ±inf coordinates streamed in one batch close every window and
-// publish the same deltas the per-arrival incremental cores published:
-// under L2 a non-finite point matches nothing; under SGB-All's rectangle
-// tests an infinite coordinate meets only the same infinity and NaN
-// nothing. The rows go straight to the manager, since SQL has no NaN
-// literal.
+// NaN and ±inf coordinates streamed in one batch close every window with
+// pinned deltas: under L2 a non-finite point matches nothing; under
+// SGB-All's rectangle tests an infinite coordinate meets only the same
+// infinity and NaN nothing. The rows go straight to the manager, since
+// SQL has no NaN literal.
 TEST_F(ContinuousTest, NonFiniteCoordinatesCloseWithStableDeltas) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
