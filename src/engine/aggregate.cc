@@ -95,121 +95,95 @@ DataType AggregateOutputType(AggregateKind kind) {
 
 namespace {
 
-class CountStarState final : public AggregateState {
- public:
-  void Add(const Row&) override { ++count_; }
-  Value Finalize() const override { return Value::Int(count_); }
+// Accumulators: one group's running state of one aggregate, fed the call's
+// argument cells (`a[0]`, `a[1]`). Row-at-a-time states and the column-wise
+// grouped aggregation share them, so both compute the same bits.
 
- private:
-  int64_t count_ = 0;
+struct CountStarAcc {
+  int64_t count = 0;
+  void Add(const CellRef*) { ++count; }
+  Value Finalize() const { return Value::Int(count); }
 };
 
-class CountState final : public AggregateState {
- public:
-  explicit CountState(const Expression* arg) : arg_(arg) {}
-  void Add(const Row& row) override {
-    if (!arg_->Evaluate(row).is_null()) ++count_;
+struct CountAcc {
+  int64_t count = 0;
+  void Add(const CellRef* a) {
+    if (!a[0].is_null()) ++count;
   }
-  Value Finalize() const override { return Value::Int(count_); }
-
- private:
-  const Expression* arg_;
-  int64_t count_ = 0;
+  Value Finalize() const { return Value::Int(count); }
 };
 
-class SumState final : public AggregateState {
- public:
-  explicit SumState(const Expression* arg) : arg_(arg) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (v.is_null()) return;
-    seen_ = true;
-    if (v.type() != DataType::kInt64) all_int_ = false;
-    sum_ += v.ToDouble();
+struct SumAcc {
+  double sum = 0.0;
+  bool seen = false;
+  bool all_int = true;
+  void Add(const CellRef* a) {
+    if (a[0].is_null()) return;
+    seen = true;
+    if (a[0].type != DataType::kInt64) all_int = false;
+    sum += a[0].ToDouble();
   }
-  Value Finalize() const override {
-    if (!seen_) return Value::Null();
-    if (all_int_) return Value::Int(static_cast<int64_t>(sum_));
-    return Value::Double(sum_);
+  Value Finalize() const {
+    if (!seen) return Value::Null();
+    if (all_int) return Value::Int(static_cast<int64_t>(sum));
+    return Value::Double(sum);
   }
-
- private:
-  const Expression* arg_;
-  double sum_ = 0.0;
-  bool seen_ = false;
-  bool all_int_ = true;
 };
 
-class AvgState final : public AggregateState {
- public:
-  explicit AvgState(const Expression* arg) : arg_(arg) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (v.is_null()) return;
-    sum_ += v.ToDouble();
-    ++count_;
+struct AvgAcc {
+  double sum = 0.0;
+  int64_t count = 0;
+  void Add(const CellRef* a) {
+    if (a[0].is_null()) return;
+    sum += a[0].ToDouble();
+    ++count;
   }
-  Value Finalize() const override {
-    if (count_ == 0) return Value::Null();
-    return Value::Double(sum_ / static_cast<double>(count_));
+  Value Finalize() const {
+    if (count == 0) return Value::Null();
+    return Value::Double(sum / static_cast<double>(count));
   }
-
- private:
-  const Expression* arg_;
-  double sum_ = 0.0;
-  int64_t count_ = 0;
 };
 
-class MinMaxState final : public AggregateState {
- public:
-  MinMaxState(const Expression* arg, bool is_min)
-      : arg_(arg), is_min_(is_min) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (v.is_null()) return;
-    if (best_.is_null()) {
-      best_ = v;
-      return;
+template <bool kMin>
+struct MinMaxAcc {
+  Value best;
+  void Add(const CellRef* a) {
+    if (a[0].is_null()) return;
+    if (!best.is_null()) {
+      const int c = CellRef::Compare(a[0], CellRef::Of(best));
+      if (kMin ? c >= 0 : c <= 0) return;
     }
-    const int c = Value::Compare(v, best_);
-    if ((is_min_ && c < 0) || (!is_min_ && c > 0)) best_ = v;
+    best = a[0].ToValue();
   }
-  Value Finalize() const override { return best_; }
-
- private:
-  const Expression* arg_;
-  bool is_min_;
-  Value best_;
+  Value Finalize() const { return best; }
 };
 
-class ArrayAggState final : public AggregateState {
- public:
-  explicit ArrayAggState(const Expression* arg) : arg_(arg) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (v.is_null()) return;
-    if (!items_.empty()) items_ += ',';
-    items_ += v.ToString();
+struct ArrayAggAcc {
+  std::string items;
+  void Add(const CellRef* a) {
+    if (a[0].is_null()) return;
+    if (!items.empty()) items += ',';
+    a[0].AppendText(&items);
   }
-  Value Finalize() const override { return Value::Str("{" + items_ + "}"); }
-
- private:
-  const Expression* arg_;
-  std::string items_;
+  Value Finalize() const {
+    std::string text;
+    text.reserve(items.size() + 2);
+    text += '{';
+    text += items;
+    text += '}';
+    return Value::Str(std::move(text));
+  }
 };
 
-class StPolygonState final : public AggregateState {
- public:
-  StPolygonState(const Expression* x, const Expression* y) : x_(x), y_(y) {}
-  void Add(const Row& row) override {
-    const Value x = x_->Evaluate(row);
-    const Value y = y_->Evaluate(row);
-    if (x.is_null() || y.is_null()) return;
-    points_.push_back(geom::Point{x.ToDouble(), y.ToDouble()});
+struct StPolygonAcc {
+  std::vector<geom::Point> points;
+  void Add(const CellRef* a) {
+    if (a[0].is_null() || a[1].is_null()) return;
+    points.push_back(geom::Point{a[0].ToDouble(), a[1].ToDouble()});
   }
-  Value Finalize() const override {
-    if (points_.empty()) return Value::Null();
-    std::vector<geom::Point> hull = geom::ConvexHull(points_);
+  Value Finalize() const {
+    if (points.empty()) return Value::Null();
+    std::vector<geom::Point> hull = geom::ConvexHull(points);
     std::string wkt = "POLYGON((";
     auto append = [&wkt](const geom::Point& p) {
       wkt += Value::Double(p.x).ToString();
@@ -228,87 +202,135 @@ class StPolygonState final : public AggregateState {
     wkt += "))";
     return Value::Str(std::move(wkt));
   }
-
- private:
-  const Expression* x_;
-  const Expression* y_;
-  std::vector<geom::Point> points_;
 };
 
-class CountDistinctState final : public AggregateState {
- public:
-  explicit CountDistinctState(const Expression* arg) : arg_(arg) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (!v.is_null()) seen_.insert(v);
+struct CountDistinctAcc {
+  ValueSet seen;
+  void Add(const CellRef* a) {
+    if (!a[0].is_null()) seen.insert(a[0].ToValue());
   }
-  Value Finalize() const override {
-    return Value::Int(static_cast<int64_t>(seen_.size()));
+  Value Finalize() const {
+    return Value::Int(static_cast<int64_t>(seen.size()));
   }
-
- private:
-  const Expression* arg_;
-  ValueSet seen_;
 };
 
 /// Welford's online algorithm: numerically stable single-pass variance.
-class VarianceState final : public AggregateState {
- public:
-  VarianceState(const Expression* arg, bool stddev)
-      : arg_(arg), stddev_(stddev) {}
-  void Add(const Row& row) override {
-    const Value v = arg_->Evaluate(row);
-    if (v.is_null()) return;
-    const double x = v.ToDouble();
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
+template <bool kStddev>
+struct VarianceAcc {
+  int64_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  void Add(const CellRef* a) {
+    if (a[0].is_null()) return;
+    const double x = a[0].ToDouble();
+    ++count;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
   }
-  Value Finalize() const override {
-    if (count_ < 2) return Value::Null();  // sample variance needs n >= 2
-    const double variance = m2_ / static_cast<double>(count_ - 1);
-    return Value::Double(stddev_ ? std::sqrt(variance) : variance);
+  Value Finalize() const {
+    if (count < 2) return Value::Null();  // sample variance needs n >= 2
+    const double variance = m2 / static_cast<double>(count - 1);
+    return Value::Double(kStddev ? std::sqrt(variance) : variance);
+  }
+};
+
+/// Calls `fn` with a default accumulator of `kind`'s type.
+template <typename Fn>
+auto WithAccumulator(AggregateKind kind, Fn&& fn) {
+  switch (kind) {
+    case AggregateKind::kCountStar:
+      return fn(CountStarAcc{});
+    case AggregateKind::kCount:
+      return fn(CountAcc{});
+    case AggregateKind::kSum:
+      return fn(SumAcc{});
+    case AggregateKind::kAvg:
+      return fn(AvgAcc{});
+    case AggregateKind::kMin:
+      return fn(MinMaxAcc<true>{});
+    case AggregateKind::kMax:
+      return fn(MinMaxAcc<false>{});
+    case AggregateKind::kArrayAgg:
+      return fn(ArrayAggAcc{});
+    case AggregateKind::kStPolygon:
+      return fn(StPolygonAcc{});
+    case AggregateKind::kCountDistinct:
+      return fn(CountDistinctAcc{});
+    case AggregateKind::kVariance:
+      return fn(VarianceAcc<false>{});
+    case AggregateKind::kStddev:
+      break;
+  }
+  return fn(VarianceAcc<true>{});
+}
+
+/// Evaluates the call's arguments against each row.
+template <typename Acc>
+class RowAggregateState final : public AggregateState {
+ public:
+  explicit RowAggregateState(const AggregateSpec& spec)
+      : arity_(AggregateArity(spec.kind)) {
+    for (size_t k = 0; k < arity_; ++k) args_[k] = spec.args[k].get();
+  }
+  void Add(const Row& row) override {
+    Value values[2];
+    CellRef cells[2];
+    for (size_t k = 0; k < arity_; ++k) {
+      values[k] = args_[k]->Evaluate(row);
+      cells[k] = CellRef::Of(values[k]);
+    }
+    acc_.Add(cells);
+  }
+  Value Finalize() const override { return acc_.Finalize(); }
+
+ private:
+  size_t arity_;
+  const Expression* args_[2] = {nullptr, nullptr};
+  Acc acc_;
+};
+
+template <typename Acc>
+class GroupedAggregateImpl final : public GroupedAggregate {
+ public:
+  GroupedAggregateImpl(size_t arity, size_t num_groups)
+      : arity_(arity), accs_(num_groups) {}
+  void Update(const ColumnVector* const* args, const size_t* group_of,
+              size_t n) override {
+    CellRef cells[2];
+    for (size_t i = 0; i < n; ++i) {
+      const size_t g = group_of[i];
+      if (g == kNoGroup) continue;
+      for (size_t k = 0; k < arity_; ++k) cells[k] = args[k]->CellAt(i);
+      accs_[g].Add(cells);
+    }
+  }
+  Value Finalize(size_t group) const override {
+    return accs_[group].Finalize();
   }
 
  private:
-  const Expression* arg_;
-  bool stddev_;
-  int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
+  size_t arity_;
+  std::vector<Acc> accs_;
 };
 
 }  // namespace
 
 std::unique_ptr<AggregateState> CreateAggregateState(
     const AggregateSpec& spec) {
-  const Expression* a0 = spec.args.empty() ? nullptr : spec.args[0].get();
-  switch (spec.kind) {
-    case AggregateKind::kCountStar:
-      return std::make_unique<CountStarState>();
-    case AggregateKind::kCount:
-      return std::make_unique<CountState>(a0);
-    case AggregateKind::kSum:
-      return std::make_unique<SumState>(a0);
-    case AggregateKind::kAvg:
-      return std::make_unique<AvgState>(a0);
-    case AggregateKind::kMin:
-      return std::make_unique<MinMaxState>(a0, /*is_min=*/true);
-    case AggregateKind::kMax:
-      return std::make_unique<MinMaxState>(a0, /*is_min=*/false);
-    case AggregateKind::kArrayAgg:
-      return std::make_unique<ArrayAggState>(a0);
-    case AggregateKind::kStPolygon:
-      return std::make_unique<StPolygonState>(a0, spec.args[1].get());
-    case AggregateKind::kCountDistinct:
-      return std::make_unique<CountDistinctState>(a0);
-    case AggregateKind::kVariance:
-      return std::make_unique<VarianceState>(a0, /*stddev=*/false);
-    case AggregateKind::kStddev:
-      return std::make_unique<VarianceState>(a0, /*stddev=*/true);
-  }
-  return nullptr;
+  return WithAccumulator(
+      spec.kind, [&](auto acc) -> std::unique_ptr<AggregateState> {
+        return std::make_unique<RowAggregateState<decltype(acc)>>(spec);
+      });
+}
+
+std::unique_ptr<GroupedAggregate> CreateGroupedAggregate(AggregateKind kind,
+                                                         size_t num_groups) {
+  return WithAccumulator(
+      kind, [&](auto acc) -> std::unique_ptr<GroupedAggregate> {
+        return std::make_unique<GroupedAggregateImpl<decltype(acc)>>(
+            AggregateArity(kind), num_groups);
+      });
 }
 
 }  // namespace sgb::engine

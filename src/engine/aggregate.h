@@ -60,6 +60,26 @@ class AggregateState {
 std::unique_ptr<AggregateState> CreateAggregateState(
     const AggregateSpec& spec);
 
+/// The group of rows that belong to no group (NULL grouping attributes,
+/// rows ON-OVERLAP ELIMINATE drops).
+constexpr size_t kNoGroup = static_cast<size_t>(-1);
+
+/// One aggregate call accumulated for many groups at once, straight from
+/// its argument columns (the SGB operator). Each group sees the same cells
+/// in the same order an AggregateState would, so results are bit-identical.
+class GroupedAggregate {
+ public:
+  virtual ~GroupedAggregate() = default;
+  /// Adds row i of the argument columns (one per argument) to group
+  /// `group_of[i]`, for i in [0, n); kNoGroup rows are skipped.
+  virtual void Update(const ColumnVector* const* args, const size_t* group_of,
+                      size_t n) = 0;
+  virtual Value Finalize(size_t group) const = 0;
+};
+
+std::unique_ptr<GroupedAggregate> CreateGroupedAggregate(AggregateKind kind,
+                                                         size_t num_groups);
+
 /// Result type the aggregate will produce (for output schemas).
 DataType AggregateOutputType(AggregateKind kind);
 

@@ -39,6 +39,10 @@ const char* ToString(BinaryOp op) {
 }
 
 Value EvaluateBinary(BinaryOp op, const Value& left, const Value& right) {
+  return EvaluateBinary(op, CellRef::Of(left), CellRef::Of(right));
+}
+
+Value EvaluateBinary(BinaryOp op, const CellRef& left, const CellRef& right) {
   switch (op) {
     case BinaryOp::kAnd:
       return Value::Bool(left.ToBool() && right.ToBool());
@@ -51,7 +55,7 @@ Value EvaluateBinary(BinaryOp op, const Value& left, const Value& right) {
     case BinaryOp::kGt:
     case BinaryOp::kGe: {
       if (left.is_null() || right.is_null()) return Value::Bool(false);
-      const int c = Value::Compare(left, right);
+      const int c = CellRef::Compare(left, right);
       switch (op) {
         case BinaryOp::kEq:
           return Value::Bool(c == 0);
@@ -72,12 +76,12 @@ Value EvaluateBinary(BinaryOp op, const Value& left, const Value& right) {
     case BinaryOp::kMul:
     case BinaryOp::kDiv: {
       if (left.is_null() || right.is_null()) return Value::Null();
-      const bool integral = left.type() == DataType::kInt64 &&
-                            right.type() == DataType::kInt64 &&
+      const bool integral = left.type == DataType::kInt64 &&
+                            right.type == DataType::kInt64 &&
                             op != BinaryOp::kDiv;
       if (integral) {
-        const int64_t a = left.AsInt();
-        const int64_t b = right.AsInt();
+        const int64_t a = left.i;
+        const int64_t b = right.i;
         switch (op) {
           case BinaryOp::kAdd:
             return Value::Int(a + b);
@@ -104,6 +108,14 @@ Value EvaluateBinary(BinaryOp op, const Value& left, const Value& right) {
   return Value::Null();
 }
 
+const ColumnVector& EvaluateColumn(const Expression& expr, const RowBatch& in,
+                                   ColumnVector* scratch) {
+  const std::optional<size_t> column = expr.ColumnIndex();
+  if (column.has_value() && !in.has_selection()) return in.column(*column);
+  expr.EvaluateBatch(in, scratch);
+  return *scratch;
+}
+
 namespace {
 
 class ColumnRefExpr final : public Expression {
@@ -111,6 +123,16 @@ class ColumnRefExpr final : public Expression {
   ColumnRefExpr(size_t index, std::string name)
       : index_(index), name_(std::move(name)) {}
   Value Evaluate(const Row& row) const override { return row[index_]; }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    out->Clear();
+    const ColumnVector& column = in.column(index_);
+    if (in.has_selection()) {
+      out->Gather(column, in.selection().data(), in.size());
+    } else {
+      out->AppendRange(column, 0, in.num_rows());
+    }
+  }
+  std::optional<size_t> ColumnIndex() const override { return index_; }
   std::string ToString() const override { return name_; }
 
  private:
@@ -122,6 +144,10 @@ class LiteralExpr final : public Expression {
  public:
   explicit LiteralExpr(Value value) : value_(std::move(value)) {}
   Value Evaluate(const Row&) const override { return value_; }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    out->Clear();
+    for (size_t i = 0; i < in.size(); ++i) out->Append(value_);
+  }
   std::string ToString() const override { return value_.ToString(); }
 
  private:
@@ -134,6 +160,16 @@ class BinaryExpr final : public Expression {
       : op_(op), left_(std::move(left)), right_(std::move(right)) {}
   Value Evaluate(const Row& row) const override {
     return EvaluateBinary(op_, left_->Evaluate(row), right_->Evaluate(row));
+  }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    ColumnVector left_scratch;
+    ColumnVector right_scratch;
+    const ColumnVector& left = EvaluateColumn(*left_, in, &left_scratch);
+    const ColumnVector& right = EvaluateColumn(*right_, in, &right_scratch);
+    out->Clear();
+    for (size_t i = 0; i < in.size(); ++i) {
+      out->Append(EvaluateBinary(op_, left.CellAt(i), right.CellAt(i)));
+    }
   }
   std::string ToString() const override {
     return "(" + left_->ToString() + " " + sgb::engine::ToString(op_) + " " +
@@ -152,6 +188,14 @@ class NotExpr final : public Expression {
   Value Evaluate(const Row& row) const override {
     return Value::Bool(!operand_->Evaluate(row).ToBool());
   }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    ColumnVector scratch;
+    const ColumnVector& operand = EvaluateColumn(*operand_, in, &scratch);
+    out->Clear();
+    for (size_t i = 0; i < in.size(); ++i) {
+      out->AppendInt(operand.CellAt(i).ToBool() ? 0 : 1);
+    }
+  }
   std::string ToString() const override {
     return "(NOT " + operand_->ToString() + ")";
   }
@@ -164,16 +208,27 @@ class NegateExpr final : public Expression {
  public:
   explicit NegateExpr(ExprPtr operand) : operand_(std::move(operand)) {}
   Value Evaluate(const Row& row) const override {
-    const Value v = operand_->Evaluate(row);
-    if (v.type() == DataType::kInt64) return Value::Int(-v.AsInt());
-    if (v.type() == DataType::kDouble) return Value::Double(-v.AsDouble());
-    return Value::Null();
+    return Negate(CellRef::Of(operand_->Evaluate(row)));
+  }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    ColumnVector scratch;
+    const ColumnVector& operand = EvaluateColumn(*operand_, in, &scratch);
+    out->Clear();
+    for (size_t i = 0; i < in.size(); ++i) {
+      out->Append(Negate(operand.CellAt(i)));
+    }
   }
   std::string ToString() const override {
     return "(-" + operand_->ToString() + ")";
   }
 
  private:
+  static Value Negate(const CellRef& v) {
+    if (v.type == DataType::kInt64) return Value::Int(-v.i);
+    if (v.type == DataType::kDouble) return Value::Double(-v.d);
+    return Value::Null();
+  }
+
   ExprPtr operand_;
 };
 
@@ -182,9 +237,15 @@ class InSetExpr final : public Expression {
   InSetExpr(ExprPtr probe, std::shared_ptr<const ValueSet> set)
       : probe_(std::move(probe)), set_(std::move(set)) {}
   Value Evaluate(const Row& row) const override {
-    const Value v = probe_->Evaluate(row);
-    if (v.is_null()) return Value::Bool(false);
-    return Value::Bool(set_->count(v) > 0);
+    return Value::Bool(Contains(probe_->Evaluate(row)));
+  }
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    ColumnVector scratch;
+    const ColumnVector& probe = EvaluateColumn(*probe_, in, &scratch);
+    out->Clear();
+    for (size_t i = 0; i < in.size(); ++i) {
+      out->AppendInt(Contains(probe.ValueAt(i)) ? 1 : 0);
+    }
   }
   std::string ToString() const override {
     return probe_->ToString() + " IN (<" + std::to_string(set_->size()) +
@@ -192,6 +253,10 @@ class InSetExpr final : public Expression {
   }
 
  private:
+  bool Contains(const Value& v) const {
+    return !v.is_null() && set_->count(v) > 0;
+  }
+
   ExprPtr probe_;
   std::shared_ptr<const ValueSet> set_;
 };
@@ -280,9 +345,39 @@ class ScalarCallExpr final : public Expression {
 
   Value Evaluate(const Row& row) const override {
     Value v[4];
-    const size_t arity = ScalarFunctionArity(fn_);
-    for (size_t i = 0; i < arity; ++i) {
-      v[i] = args_[i]->Evaluate(row);
+    for (size_t i = 0; i < args_.size(); ++i) v[i] = args_[i]->Evaluate(row);
+    return Apply(v);
+  }
+
+  void EvaluateBatch(const RowBatch& in, ColumnVector* out) const override {
+    std::vector<ColumnVector> scratch(args_.size());
+    std::vector<const ColumnVector*> args;
+    for (size_t a = 0; a < args_.size(); ++a) {
+      args.push_back(&EvaluateColumn(*args_[a], in, &scratch[a]));
+    }
+    out->Clear();
+    Value v[4];
+    for (size_t i = 0; i < in.size(); ++i) {
+      for (size_t a = 0; a < args.size(); ++a) v[a] = args[a]->ValueAt(i);
+      out->Append(Apply(v));
+    }
+  }
+
+  std::string ToString() const override {
+    std::string out = ScalarFunctionName(fn_);
+    out += '(';
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += args_[i]->ToString();
+    }
+    out += ')';
+    return out;
+  }
+
+ private:
+  /// The function on its evaluated arguments; NULL if any is NULL.
+  Value Apply(const Value* v) const {
+    for (size_t i = 0; i < args_.size(); ++i) {
       if (v[i].is_null()) return Value::Null();
     }
     switch (fn_) {
@@ -314,18 +409,6 @@ class ScalarCallExpr final : public Expression {
     return Value::Null();
   }
 
-  std::string ToString() const override {
-    std::string out = ScalarFunctionName(fn_);
-    out += '(';
-    for (size_t i = 0; i < args_.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += args_[i]->ToString();
-    }
-    out += ')';
-    return out;
-  }
-
- private:
   ScalarFunction fn_;
   std::vector<ExprPtr> args_;
 };

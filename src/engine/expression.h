@@ -2,16 +2,18 @@
 #define SGB_ENGINE_EXPRESSION_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 
 #include "common/status.h"
+#include "engine/row_batch.h"
 #include "engine/value.h"
 
 namespace sgb::engine {
 
 /// A bound, executable scalar expression evaluated against one row of a
-/// known layout. Produced by the SQL binder (sql/planner.cc) or built
+/// known layout, or against the active rows of a column batch. Produced by the SQL binder (sql/planner.cc) or built
 /// directly via the factory functions below when using the engine API.
 ///
 /// Semantics (documented simplifications vs. full SQL):
@@ -22,6 +24,11 @@ class Expression {
  public:
   virtual ~Expression() = default;
   virtual Value Evaluate(const Row& row) const = 0;
+  /// Replaces `out`'s cells with the expression's value on each active row
+  /// of `in`, in order; cell by cell the same values Evaluate() returns.
+  virtual void EvaluateBatch(const RowBatch& in, ColumnVector* out) const = 0;
+  /// The input column of a plain column reference; nullopt otherwise.
+  virtual std::optional<size_t> ColumnIndex() const { return std::nullopt; }
   virtual std::string ToString() const = 0;
 };
 
@@ -90,8 +97,15 @@ size_t ScalarFunctionArity(ScalarFunction fn);
 
 ExprPtr MakeScalarCall(ScalarFunction fn, std::vector<ExprPtr> args);
 
-/// Deep-copies columns out of `row` cheaply; utility for operators.
+/// `left op right` under the semantics above.
 Value EvaluateBinary(BinaryOp op, const Value& left, const Value& right);
+Value EvaluateBinary(BinaryOp op, const CellRef& left, const CellRef& right);
+
+/// `expr` over the active rows of `in`. A plain column reference on a batch
+/// without a selection borrows the input column; anything else is evaluated
+/// into `scratch`.
+const ColumnVector& EvaluateColumn(const Expression& expr, const RowBatch& in,
+                                   ColumnVector* scratch);
 
 }  // namespace sgb::engine
 

@@ -211,13 +211,17 @@ Row GlobalDefaultRow(const std::vector<AggregateSpec>& aggregates) {
   return out;
 }
 
-/// Drains `child` batch by batch, handing each row to `fn` (which may move
-/// it).
+/// Drains `child` batch by batch, materializing each active row for `fn`
+/// (which may move it; a row it leaves in place is reused for the next).
 template <typename Fn>
 void DrainChild(Operator& child, Fn&& fn) {
   RowBatch batch;
+  Row row;
   while (child.NextBatch(&batch)) {
-    for (Row& row : batch.rows()) fn(row);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.TakeRow(i, &row);
+      fn(row);
+    }
   }
 }
 
@@ -281,23 +285,35 @@ class FilterOp final : public Operator {
     return {child_.get()};
   }
   void OpenImpl() override { child_->Open(); }
+  /// Pulls child batches straight into `out` and narrows its selection
+  /// vector to the passing rows; no row is copied. An all-filtered batch
+  /// just pulls the next one, so emitted batches are never empty (though
+  /// they may be smaller than capacity).
   bool NextBatchImpl(RowBatch* out) override {
-    // Pull whole child batches and keep the passing rows; an all-filtered
-    // batch just pulls the next one, so emitted batches are never empty
-    // (though they may be smaller than capacity).
-    RowBatch scratch(out->capacity());
-    while (out->empty()) {
-      if (!child_->NextBatch(&scratch)) return false;
-      for (Row& row : scratch.rows()) {
-        if (predicate_->Evaluate(row).ToBool()) out->Append(std::move(row));
+    while (child_->NextBatch(out)) {
+      const ColumnVector& keep =
+          EvaluateColumn(*predicate_, *out, &predicate_values_);
+      std::vector<uint32_t> selection;
+      selection.reserve(out->size());
+      for (size_t i = 0; i < out->size(); ++i) {
+        if (keep.CellAt(i).ToBool()) {
+          selection.push_back(static_cast<uint32_t>(out->RowIndex(i)));
+        }
       }
+      if (selection.empty()) continue;
+      if (selection.size() < out->size()) {
+        out->SetSelection(std::move(selection));
+      }
+      return true;
     }
-    return true;
+    return false;
   }
+  void CloseImpl() override { predicate_values_ = ColumnVector(); }
 
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
+  ColumnVector predicate_values_;
 };
 
 class ProjectOp final : public Operator {
@@ -306,7 +322,23 @@ class ProjectOp final : public Operator {
             std::vector<Column> output_columns)
       : child_(std::move(child)),
         exprs_(std::move(exprs)),
-        schema_(std::move(output_columns)) {}
+        schema_(std::move(output_columns)),
+        first_use_(exprs_.size(), kComputed) {
+    for (size_t c = 0; c < exprs_.size(); ++c) {
+      const std::optional<size_t> ref = exprs_[c]->ColumnIndex();
+      if (!ref.has_value()) {
+        all_refs_ = false;
+        continue;
+      }
+      first_use_[c] = c;
+      for (size_t prev = 0; prev < c; ++prev) {
+        if (exprs_[prev]->ColumnIndex() == ref) {
+          first_use_[c] = prev;
+          break;
+        }
+      }
+    }
+  }
   const Schema& schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
   std::string label() const override {
@@ -321,22 +353,55 @@ class ProjectOp final : public Operator {
     return {child_.get()};
   }
   void OpenImpl() override { child_->Open(); }
+  /// Column references move their input column into the output, carrying
+  /// the selection along; a repeated reference copies the moved column.
+  /// Other expressions run through EvaluateBatch. When the input has a
+  /// selection and some expression is computed, every output column is
+  /// evaluated densely over the selected rows instead.
   bool NextBatchImpl(RowBatch* out) override {
-    RowBatch scratch(out->capacity());
-    if (!child_->NextBatch(&scratch)) return false;
-    for (const Row& input : scratch.rows()) {
-      Row projected;
-      projected.reserve(exprs_.size());
-      for (const ExprPtr& e : exprs_) projected.push_back(e->Evaluate(input));
-      out->Append(std::move(projected));
+    if (input_.capacity() != out->capacity()) input_ = RowBatch(out->capacity());
+    if (!child_->NextBatch(&input_)) return false;
+    out->SetNumColumns(exprs_.size());
+    if (input_.has_selection() && !all_refs_) {
+      for (size_t c = 0; c < exprs_.size(); ++c) {
+        exprs_[c]->EvaluateBatch(input_, &out->column(c));
+      }
+      out->SetNumRows(input_.size());
+      return true;
     }
+    // Computed columns first: they may read a column a reference moves.
+    for (size_t c = 0; c < exprs_.size(); ++c) {
+      if (first_use_[c] == kComputed) {
+        exprs_[c]->EvaluateBatch(input_, &out->column(c));
+      }
+    }
+    const size_t rows = input_.num_rows();
+    for (size_t c = 0; c < exprs_.size(); ++c) {
+      if (first_use_[c] == kComputed) continue;
+      ColumnVector& column = out->column(c);
+      if (first_use_[c] == c) {
+        std::swap(column, input_.column(*exprs_[c]->ColumnIndex()));
+      } else {
+        column.AppendRange(out->column(first_use_[c]), 0, rows);
+      }
+    }
+    out->SetNumRows(rows);
+    if (input_.has_selection()) out->SetSelection(input_.selection());
     return true;
   }
+  void CloseImpl() override { input_ = RowBatch(); }
 
  private:
+  static constexpr size_t kComputed = static_cast<size_t>(-1);
+
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   Schema schema_;
+  /// Per output column: the first output column holding the same input
+  /// column reference (itself when first), or kComputed.
+  std::vector<size_t> first_use_;
+  bool all_refs_ = true;
+  RowBatch input_;
 };
 
 class HashAggregateOp final : public Operator {
@@ -812,8 +877,7 @@ class HashJoinOp final : public Operator {
     if (spilled_mode_) return results_.Emit(out);
     while (!out->Full()) {
       if (matches_ != nullptr && match_index_ < matches_->size()) {
-        out->Append(Concat(probe_.rows()[probe_pos_ - 1],
-                           (*matches_)[match_index_++]));
+        out->Append(Concat(probe_row_, (*matches_)[match_index_++]));
         continue;
       }
       matches_ = nullptr;
@@ -821,9 +885,8 @@ class HashJoinOp final : public Operator {
         if (!left_->NextBatch(&probe_)) break;
         probe_pos_ = 0;
       }
-      if (!EvalKeyInto(left_keys_, probe_.rows()[probe_pos_++], &probe_key_)) {
-        continue;
-      }
+      probe_.TakeRow(probe_pos_++, &probe_row_);
+      if (!EvalKeyInto(left_keys_, probe_row_, &probe_key_)) continue;
       const auto it = build_.find(probe_key_);
       if (it == build_.end()) continue;
       matches_ = &it->second;
@@ -834,7 +897,8 @@ class HashJoinOp final : public Operator {
 
   void CloseImpl() override {
     BuildMap().swap(build_);
-    probe_.Clear();
+    probe_ = RowBatch();
+    Row().swap(probe_row_);
     probe_pos_ = 0;
     matches_ = nullptr;
     results_.Release();
@@ -981,9 +1045,10 @@ class HashJoinOp final : public Operator {
   Schema schema_;
   BuildMap build_;
   // Probe cursor: the current probe batch, the row after the one being
-  // joined, and that row's build matches not yet emitted.
+  // joined, that row and its build matches not yet emitted.
   RowBatch probe_;
   size_t probe_pos_ = 0;
+  Row probe_row_;
   Row probe_key_;
   const std::vector<Row>* matches_ = nullptr;
   size_t match_index_ = 0;
@@ -1037,8 +1102,8 @@ class NestedLoopJoinOp final : public Operator {
         right_index_ = 0;
         continue;
       }
-      Row joined =
-          Concat(probe_.rows()[probe_pos_], right_rows_[right_index_++]);
+      if (right_index_ == 0) probe_.TakeRow(probe_pos_, &probe_row_);
+      Row joined = Concat(probe_row_, right_rows_[right_index_++]);
       if (predicate_ == nullptr || predicate_->Evaluate(joined).ToBool()) {
         out->Append(std::move(joined));
       }
@@ -1048,7 +1113,8 @@ class NestedLoopJoinOp final : public Operator {
 
   void CloseImpl() override {
     std::vector<Row>().swap(right_rows_);
-    probe_.Clear();
+    probe_ = RowBatch();
+    Row().swap(probe_row_);
     probe_pos_ = 0;
     right_index_ = 0;
   }
@@ -1059,10 +1125,11 @@ class NestedLoopJoinOp final : public Operator {
   ExprPtr predicate_;
   Schema schema_;
   std::vector<Row> right_rows_;
-  // Probe cursor: the current left batch, the left row being joined, and
-  // the next right row to pair it with.
+  // Probe cursor: the current left batch, the position and cells of the
+  // left row being joined, and the next right row to pair it with.
   RowBatch probe_;
   size_t probe_pos_ = 0;
+  Row probe_row_;
   size_t right_index_ = 0;
 };
 
@@ -1227,7 +1294,7 @@ class LimitOp final : public Operator {
     if (emitted_ >= limit_) return false;
     RowBatch head(std::min(limit_ - emitted_, out->capacity()));
     if (!child_->NextBatch(&head)) return false;
-    for (Row& row : head.rows()) out->Append(std::move(row));
+    out->SwapContents(&head);
     emitted_ += out->size();
     return true;
   }
@@ -1441,7 +1508,9 @@ Result<Table> Materialize(Operator& root) {
     root.Open();
     RowBatch batch;
     while (root.NextBatch(&batch)) {
-      for (Row& row : batch.rows()) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        Row row;
+        batch.TakeRow(i, &row);
         SGB_RETURN_IF_ERROR(table.Append(std::move(row)));
       }
       SGB_RETURN_IF_ERROR(charge.Update(table));

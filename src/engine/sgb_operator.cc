@@ -36,6 +36,15 @@ bool NextOrThrow(SpillFile* file, Row* row) {
   return more.value();
 }
 
+// The cores mark points outside every group with the operator's kNoGroup.
+static_assert(core::Grouping::kEliminated == kNoGroup);
+static_assert(core::Grouping1D::kUngrouped == kNoGroup);
+
+/// A column of doubles with no NULL: coordinates read straight from it.
+bool IsDenseDoubles(const ColumnVector& column) {
+  return column.layout() == ColumnVector::Layout::kDouble && !column.has_nulls();
+}
+
 std::string DescribeDop(int dop) {
   if (dop == 1) return "";  // serial is the default; keep labels terse
   if (dop == 0) return ", dop=auto";
@@ -99,8 +108,30 @@ void PublishSgbAnyStats(const core::SgbAnyStats& s, OperatorStats* out) {
   PublishWorkerBreakdown(s.parallel_partitions, s.workers, out);
 }
 
-/// Shared driver for the 2-D and 1-D variants: drains the child, labels
-/// every row with a group id (or "no group"), then aggregates per group.
+/// The finished groups, held as columns and handed out in capacity-sized
+/// slices.
+struct BufferedColumns {
+  RowBatch batch;
+  size_t next = 0;  ///< first row not yet emitted
+
+  bool Emit(RowBatch* out) {
+    const size_t end = std::min(batch.num_rows(), next + out->capacity());
+    if (next >= end) return false;
+    out->MoveRows(&batch, next, end);
+    next = end;
+    return true;
+  }
+  void Release() {
+    batch = RowBatch();
+    next = 0;
+  }
+};
+
+/// Shared driver for the 1-D, 2-D and 3-D variants: drains the child batch
+/// by batch, appending the coordinate columns to the point array and
+/// buffering only the aggregate-argument columns; labels every input row
+/// with a group id (or kNoGroup); then aggregates per group from the
+/// argument columns and emits the groups as columns.
 class SgbOperatorBase : public Operator {
  public:
   SgbOperatorBase(OperatorPtr child, std::vector<AggregateSpec> aggregates)
@@ -109,6 +140,7 @@ class SgbOperatorBase : public Operator {
     s.AddColumn(Column{"group_id", DataType::kInt64, ""});
     for (const AggregateSpec& a : aggregates_) {
       s.AddColumn(Column{a.output_name, AggregateOutputType(a.kind), ""});
+      for (const ExprPtr& arg : a.args) arg_exprs_.push_back(arg.get());
     }
     schema_ = std::move(s);
   }
@@ -123,35 +155,40 @@ class SgbOperatorBase : public Operator {
     child_->Open();
     CloseImpl();
 
-    // Drain the child. The coordinate columns are extracted per row as it
-    // arrives (they must stay in RAM for the grouping core); the full row
-    // payloads — the dominant memory — are what the spill path moves to
-    // disk when the budget pushes back. Rows are spilled in input order,
-    // so the streamed re-aggregation below is bit-identical to the
-    // in-memory one.
-    size_t row_count = 0;
+    // Drain the child. The coordinates go straight into the point array
+    // (they must stay in RAM for the grouping core); the aggregate-argument
+    // columns are what the spill path moves to disk when the budget pushes
+    // back. They are spilled in input order, so the streamed aggregation
+    // below adds exactly what the in-memory one would.
     const bool spill = SpillEnabled();
-    size_t mem_estimate = 0;
-    RowBatch batch;
-    while (child_->NextBatch(&batch)) {
-      for (Row& row : batch.rows()) {
-        AddPoint(row, row_count++);
-        if (spilled_rows_ != nullptr) {
-          ThrowIfError(spilled_rows_->Append(row));
+    {
+      obs::ScopedSpan drain_span(Trace(), "sgb.drain");
+      args_.assign(arg_exprs_.size(), ColumnVector());
+      RowBatch batch;
+      ColumnVector scratch;
+      while (child_->NextBatch(&batch)) {
+        AddPoints(batch, rows_drained_);
+        rows_drained_ += batch.size();
+        buffered_rows_ += batch.size();
+        for (size_t k = 0; k < arg_exprs_.size(); ++k) {
+          args_[k].AppendRange(EvaluateColumn(*arg_exprs_[k], batch, &scratch),
+                               0, batch.size());
+        }
+        if (spilled_args_ != nullptr) {
+          WriteBufferedArgs();
           continue;
         }
-        mem_estimate += sizeof(Row) + row.capacity() * sizeof(Value);
-        rows_.push_back(std::move(row));
-        if (!spill || TryChargeMemory(mem_estimate + PointBytes())) continue;
-        // Budget breached: move the buffered rows to disk and keep
+        if (!spill || TryChargeMemory(HeldBytes())) continue;
+        // Budget breached: move the buffered arguments to disk and keep
         // streaming the remaining input straight there.
-        SpillBufferedRows();
+        SpillBufferedArgs();
       }
+      drain_span.AddAttribute("rows", static_cast<double>(rows_drained_));
     }
-    if (spilled_rows_ != nullptr) {
+    if (spilled_args_ != nullptr) {
       FinishSpill();
     } else if (!spill) {
-      ChargeMemory(ApproxRowVectorBytes(rows_) + PointBytes());
+      ChargeMemory(HeldBytes());
     }
     {
       Status fault = g_sgb_build_fault.Check();
@@ -159,7 +196,7 @@ class SgbOperatorBase : public Operator {
     }
 
     size_t num_groups = 0;
-    std::vector<size_t> group_of;
+    std::vector<size_t> labels;  // group of each point
     {
       // The grouping phase is the operator's hot core; it gets its own
       // trace span with the group count, memory delta, and the run's SIMD
@@ -171,18 +208,18 @@ class SgbOperatorBase : public Operator {
       obs::ScopedSpan group_span(Trace(), "sgb.group");
       // The grouping core makes its own transient charges (union-find
       // bookkeeping, grid cells). When the drain fit in memory but left no
-      // headroom for them, spill the buffered rows after the fact and label
-      // again against the freed budget.
+      // headroom for them, spill the buffered arguments after the fact and
+      // label again against the freed budget.
       try {
-        group_of = LabelPoints(row_count, &num_groups);
+        labels = LabelPoints(&num_groups);
       } catch (const QueryAbort& abort) {
-        if (!SpillEnabled() || spilled_rows_ != nullptr ||
+        if (!SpillEnabled() || spilled_args_ != nullptr ||
             abort.status().code() != Status::Code::kResourceExhausted) {
           throw;
         }
-        SpillBufferedRows();
+        SpillBufferedArgs();
         FinishSpill();
-        group_of = LabelPoints(row_count, &num_groups);
+        labels = LabelPoints(&num_groups);
       }
       group_span.AddAttribute("groups", static_cast<double>(num_groups));
       group_span.AddAttribute("kernels", static_cast<double>(kernel_calls_));
@@ -201,72 +238,42 @@ class SgbOperatorBase : public Operator {
           static_cast<uint64_t>(plan_estimate().rows);
     }
 
-    std::vector<std::vector<std::unique_ptr<AggregateState>>> states(
-        num_groups);
-    for (auto& group_states : states) {
-      group_states.reserve(aggregates_.size());
-      for (const AggregateSpec& a : aggregates_) {
-        group_states.push_back(CreateAggregateState(a));
-      }
+    {
+      obs::ScopedSpan aggregate_span(Trace(), "sgb.aggregate");
+      Aggregate(labels, num_groups);
     }
-    if (spilled_rows_ == nullptr) {
-      for (size_t i = 0; i < rows_.size(); ++i) {
-        const size_t g = group_of[i];
-        if (g == kNoGroup) continue;
-        for (auto& state : states[g]) state->Add(rows_[i]);
-      }
-    } else {
-      // Stream the spilled rows back in input order; the aggregation adds
-      // in exactly the order the in-memory loop would.
-      obs::ScopedSpan read_span(Trace(), "spill.read");
-      read_span.AddAttribute("bytes",
-                             static_cast<double>(spilled_rows_->bytes()));
-      Row row;
-      size_t i = 0;
-      while (NextOrThrow(spilled_rows_.get(), &row)) {
-        const size_t g = group_of[i++];
-        if (g == kNoGroup) continue;
-        for (auto& state : states[g]) state->Add(row);
-      }
-      spilled_rows_.reset();
-    }
-    results_.rows.reserve(num_groups);
-    for (size_t g = 0; g < num_groups; ++g) {
-      Row out;
-      out.reserve(1 + aggregates_.size());
-      out.push_back(Value::Int(static_cast<int64_t>(g)));
-      for (const auto& state : states[g]) out.push_back(state->Finalize());
-      results_.rows.push_back(std::move(out));
-    }
-    rows_.clear();
-    ChargeMemory(PointBytes() + ApproxRowVectorBytes(results_.rows));
+    ChargeMemory(PointBytes() + results_.batch.bytes());
   }
 
   bool NextBatchImpl(RowBatch* out) override { return results_.Emit(out); }
 
   void CloseImpl() override {
-    std::vector<Row>().swap(rows_);
+    std::vector<ColumnVector>().swap(args_);
+    rows_drained_ = 0;
+    buffered_rows_ = 0;
+    std::vector<size_t>().swap(point_row_);
     results_.Release();
-    spilled_rows_.reset();
+    spilled_args_.reset();
     ResetPoints();
   }
 
  protected:
-  static constexpr size_t kNoGroup = static_cast<size_t>(-1);
-
   /// Incremental labeling interface. The base drains the child calling
-  /// AddPoint(row, input_index) per row — implementations extract and keep
-  /// only the coordinate columns (PointBytes() reports how much RAM that
-  /// is) — then calls LabelPoints once, which runs the grouping core and
-  /// assigns a group id in [0, *num_groups) — or kNoGroup — to every input
-  /// index. Implementations publish their core-algorithm counters
+  /// AddPoints(batch, first_row) per batch — implementations evaluate the
+  /// coordinate expressions over the batch and keep only the points
+  /// (PointBytes() reports how much RAM that is), pushing the input row of
+  /// each onto point_row_ — then calls LabelPoints once, which runs the
+  /// grouping core and returns each point's group id in [0, *num_groups),
+  /// or kNoGroup. Implementations publish their core-algorithm counters
   /// (distance computations, rectangle tests, ...) into
   /// mutable_stats().extra. ResetPoints() frees the extracted coordinates.
   virtual void ResetPoints() = 0;
-  virtual void AddPoint(const Row& row, size_t index) = 0;
+  virtual void AddPoints(const RowBatch& batch, size_t first_row) = 0;
   virtual size_t PointBytes() const = 0;
-  virtual std::vector<size_t> LabelPoints(size_t num_rows,
-                                          size_t* num_groups) = 0;
+  virtual std::vector<size_t> LabelPoints(size_t* num_groups) = 0;
+
+  /// The input row of each point not yet spilled, in input order.
+  std::vector<size_t> point_row_;
 
   /// Block-kernel calls of this execution's grouping core, which
   /// LabelPoints adds up (the "kernels" attribute of the sgb.group span).
@@ -278,36 +285,141 @@ class SgbOperatorBase : public Operator {
     return query_context() != nullptr ? query_context()->trace() : nullptr;
   }
 
-  /// Moves the in-memory row buffer to a spill file (preserving input
-  /// order) and drops its budget charge; only the coordinate SoA stays
-  /// resident. The aggregation pass streams the file back.
-  void SpillBufferedRows() {
-    obs::ScopedSpan write_span(Trace(), "spill.write");
-    spilled_rows_ = CreateSpillFileOrThrow(query_context()->spill().directory);
-    for (const Row& buffered : rows_) {
-      ThrowIfError(spilled_rows_->Append(buffered));
+  /// Bytes the drain holds: points, their rows and the argument columns.
+  size_t HeldBytes() const {
+    size_t bytes = PointBytes() + point_row_.capacity() * sizeof(size_t);
+    for (const ColumnVector& arg : args_) bytes += arg.bytes();
+    return bytes;
+  }
+
+  /// Feeds rows [0, n) of the argument columns `args` to the aggregates;
+  /// `group_of[i]` is the group of row i.
+  void UpdateAggregates(
+      const std::vector<std::unique_ptr<GroupedAggregate>>& aggregates,
+      const std::vector<ColumnVector>& args, const size_t* group_of,
+      size_t n) const {
+    size_t first = 0;
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      const ColumnVector* cells[2] = {nullptr, nullptr};
+      const size_t arity = aggregates_[a].args.size();
+      for (size_t k = 0; k < arity; ++k) cells[k] = &args[first + k];
+      aggregates[a]->Update(cells, group_of, n);
+      first += arity;
     }
-    write_span.AddAttribute("rows", static_cast<double>(rows_.size()));
-    rows_.clear();
+  }
+
+  /// Aggregates every group from the buffered (or spilled) argument
+  /// columns, given each point's group (`labels`), and fills results_ with
+  /// [group_id, aggregates...] columns.
+  void Aggregate(const std::vector<size_t>& labels, size_t num_groups) {
+    std::vector<std::unique_ptr<GroupedAggregate>> aggregates;
+    for (const AggregateSpec& a : aggregates_) {
+      aggregates.push_back(CreateGroupedAggregate(a.kind, num_groups));
+    }
+    if (spilled_args_ == nullptr) {
+      std::vector<size_t> group_of(rows_drained_, kNoGroup);
+      for (size_t k = 0; k < point_row_.size(); ++k) {
+        group_of[point_row_[k]] = labels[k];
+      }
+      std::vector<size_t>().swap(point_row_);
+      UpdateAggregates(aggregates, args_, group_of.data(), rows_drained_);
+    } else {
+      // Stream the spilled rows back in input order, a batch at a time;
+      // each group adds in exactly the order of the in-memory pass. A
+      // row's leading cell says whether it holds the next point.
+      obs::ScopedSpan read_span(Trace(), "spill.read");
+      read_span.AddAttribute("bytes",
+                             static_cast<double>(spilled_args_->bytes()));
+      Row row;
+      std::vector<size_t> group_of;
+      size_t next_point = 0;
+      bool more = true;
+      while (more) {
+        for (ColumnVector& arg : args_) arg.Clear();
+        group_of.clear();
+        while (group_of.size() < RowBatch::kDefaultCapacity &&
+               (more = NextOrThrow(spilled_args_.get(), &row))) {
+          group_of.push_back(row[0].AsInt() != 0 ? labels[next_point++]
+                                                 : kNoGroup);
+          for (size_t k = 0; k < args_.size(); ++k) {
+            args_[k].Append(std::move(row[1 + k]));
+          }
+        }
+        UpdateAggregates(aggregates, args_, group_of.data(), group_of.size());
+      }
+      spilled_args_.reset();
+    }
+    std::vector<ColumnVector>().swap(args_);
+
+    RowBatch& out = results_.batch;
+    out.SetNumColumns(1 + aggregates_.size());
+    for (size_t g = 0; g < num_groups; ++g) {
+      out.column(0).AppendInt(static_cast<int64_t>(g));
+    }
+    for (size_t a = 0; a < aggregates.size(); ++a) {
+      for (size_t g = 0; g < num_groups; ++g) {
+        out.column(1 + a).Append(aggregates[a]->Finalize(g));
+      }
+    }
+    out.SetNumRows(num_groups);
+  }
+
+  /// Appends the buffered rows to the spill file in input order, one
+  /// [has point, arguments...] row each, and empties the buffers: the
+  /// argument columns and point_row_.
+  void WriteBufferedArgs() {
+    Row row(1 + args_.size());
+    const size_t first_row = rows_drained_ - buffered_rows_;
+    size_t next_point = 0;
+    for (size_t i = 0; i < buffered_rows_; ++i) {
+      const bool has_point = next_point < point_row_.size() &&
+                             point_row_[next_point] == first_row + i;
+      next_point += has_point ? 1 : 0;
+      row[0] = Value::Bool(has_point);
+      for (size_t k = 0; k < args_.size(); ++k) {
+        row[1 + k] = args_[k].ValueAt(i);
+      }
+      ThrowIfError(spilled_args_->Append(row));
+    }
+    for (ColumnVector& arg : args_) arg.Clear();
+    point_row_.clear();
+    buffered_rows_ = 0;
+  }
+
+  /// Moves the buffered argument columns and point rows to a spill file
+  /// (preserving input order) and drops their budget charge; only the
+  /// coordinates stay resident. The aggregation pass streams the file back.
+  void SpillBufferedArgs() {
+    obs::ScopedSpan write_span(Trace(), "spill.write");
+    spilled_args_ = CreateSpillFileOrThrow(query_context()->spill().directory);
+    write_span.AddAttribute("rows", static_cast<double>(buffered_rows_));
+    WriteBufferedArgs();
+    for (ColumnVector& arg : args_) arg = ColumnVector();
+    std::vector<size_t>().swap(point_row_);
     ChargeMemory(PointBytes());
   }
 
   void FinishSpill() {
-    ThrowIfError(spilled_rows_->FinishWrites());
+    ThrowIfError(spilled_args_->FinishWrites());
     if (query_context() != nullptr) {
-      query_context()->AddSpill(spilled_rows_->bytes());
+      query_context()->AddSpill(spilled_args_->bytes());
     }
     mutable_stats().extra["spilled"] += 1;
-    mutable_stats().extra["spill_bytes"] += spilled_rows_->bytes();
+    mutable_stats().extra["spill_bytes"] += spilled_args_->bytes();
     obs::MetricsRegistry::Global().GetCounter("spill.events").Add(1);
   }
 
   OperatorPtr child_;
   std::vector<AggregateSpec> aggregates_;
+  /// Every aggregate's argument expressions, flattened in call order.
+  std::vector<const Expression*> arg_exprs_;
   Schema schema_;
-  std::vector<Row> rows_;
-  BufferedRows results_;
-  std::unique_ptr<SpillFile> spilled_rows_;  ///< input rows, when spilling
+  /// One buffered column per entry of arg_exprs_, a cell per input row.
+  std::vector<ColumnVector> args_;
+  size_t rows_drained_ = 0;  ///< input rows of this execution
+  size_t buffered_rows_ = 0;  ///< the last rows drained, not yet spilled
+  BufferedColumns results_;
+  std::unique_ptr<SpillFile> spilled_args_;  ///< argument rows, when spilling
 };
 
 class SgbOperator2d final : public SgbOperatorBase {
@@ -328,26 +440,34 @@ class SgbOperator2d final : public SgbOperatorBase {
   std::string label() const override { return name() + DescribeMode(mode_); }
 
  protected:
-  void ResetPoints() override {
-    std::vector<geom::Point>().swap(points_);
-    std::vector<size_t>().swap(point_row_);
-  }
+  void ResetPoints() override { std::vector<geom::Point>().swap(points_); }
 
-  void AddPoint(const Row& row, size_t index) override {
-    const Value x = x_expr_->Evaluate(row);
-    const Value y = y_expr_->Evaluate(row);
-    if (x.is_null() || y.is_null()) return;
-    points_.push_back(geom::Point{x.ToDouble(), y.ToDouble()});
-    point_row_.push_back(index);
+  void AddPoints(const RowBatch& batch, size_t first_row) override {
+    ColumnVector x_scratch;
+    ColumnVector y_scratch;
+    const ColumnVector& xs = EvaluateColumn(*x_expr_, batch, &x_scratch);
+    const ColumnVector& ys = EvaluateColumn(*y_expr_, batch, &y_scratch);
+    if (IsDenseDoubles(xs) && IsDenseDoubles(ys)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        points_.push_back(geom::Point{xs.doubles()[i], ys.doubles()[i]});
+        point_row_.push_back(first_row + i);
+      }
+      return;
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const CellRef x = xs.CellAt(i);
+      const CellRef y = ys.CellAt(i);
+      if (x.is_null() || y.is_null()) continue;
+      points_.push_back(geom::Point{x.ToDouble(), y.ToDouble()});
+      point_row_.push_back(first_row + i);
+    }
   }
 
   size_t PointBytes() const override {
-    return points_.capacity() * sizeof(geom::Point) +
-           point_row_.capacity() * sizeof(size_t);
+    return points_.capacity() * sizeof(geom::Point);
   }
 
-  std::vector<size_t> LabelPoints(size_t num_rows,
-                                  size_t* num_groups) override {
+  std::vector<size_t> LabelPoints(size_t* num_groups) override {
     core::Grouping grouping;
     if (const auto* all = std::get_if<core::SgbAllOptions>(&mode_)) {
       core::SgbAllOptions opts = *all;
@@ -371,15 +491,9 @@ class SgbOperator2d final : public SgbOperatorBase {
       grouping = std::move(r.value());
     }
 
-    std::vector<size_t> group_of(num_rows, kNoGroup);
-    for (size_t k = 0; k < point_row_.size(); ++k) {
-      if (grouping.group_of[k] != core::Grouping::kEliminated) {
-        group_of[point_row_[k]] = grouping.group_of[k];
-      }
-    }
     *num_groups = grouping.num_groups;
     ResetPoints();
-    return group_of;
+    return std::move(grouping.group_of);
   }
 
  private:
@@ -387,7 +501,6 @@ class SgbOperator2d final : public SgbOperatorBase {
   ExprPtr y_expr_;
   SgbMode mode_;
   std::vector<geom::Point> points_;
-  std::vector<size_t> point_row_;  // input row of each grouped point
 };
 
 class SgbOperator3d final : public SgbOperatorBase {
@@ -399,7 +512,7 @@ class SgbOperator3d final : public SgbOperatorBase {
         x_expr_(std::move(x_expr)),
         y_expr_(std::move(y_expr)),
         z_expr_(std::move(z_expr)),
-        mode_(std::move(mode)) {}
+        mode_(Serial(std::move(mode))) {}
 
   std::string name() const override {
     return std::holds_alternative<core::SgbAllOptions>(mode_)
@@ -410,28 +523,39 @@ class SgbOperator3d final : public SgbOperatorBase {
   std::string label() const override { return name() + DescribeMode(mode_); }
 
  protected:
-  void ResetPoints() override {
-    std::vector<geom::PointN<3>>().swap(points_);
-    std::vector<size_t>().swap(point_row_);
+  /// SgbAllNd and SgbAnyNd run serially whatever dop the query asked for,
+  /// so the operator (and its EXPLAIN label) carries the dop it runs.
+  static SgbMode Serial(SgbMode mode) {
+    std::visit([](auto& options) { options.degree_of_parallelism = 1; },
+               mode);
+    return mode;
   }
 
-  void AddPoint(const Row& row, size_t index) override {
-    const Value x = x_expr_->Evaluate(row);
-    const Value y = y_expr_->Evaluate(row);
-    const Value z = z_expr_->Evaluate(row);
-    if (x.is_null() || y.is_null() || z.is_null()) return;
-    points_.push_back(
-        geom::PointN<3>{{x.ToDouble(), y.ToDouble(), z.ToDouble()}});
-    point_row_.push_back(index);
+  void ResetPoints() override {
+    std::vector<geom::PointN<3>>().swap(points_);
+  }
+
+  void AddPoints(const RowBatch& batch, size_t first_row) override {
+    ColumnVector scratch[3];
+    const ColumnVector& xs = EvaluateColumn(*x_expr_, batch, &scratch[0]);
+    const ColumnVector& ys = EvaluateColumn(*y_expr_, batch, &scratch[1]);
+    const ColumnVector& zs = EvaluateColumn(*z_expr_, batch, &scratch[2]);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const CellRef x = xs.CellAt(i);
+      const CellRef y = ys.CellAt(i);
+      const CellRef z = zs.CellAt(i);
+      if (x.is_null() || y.is_null() || z.is_null()) continue;
+      points_.push_back(
+          geom::PointN<3>{{x.ToDouble(), y.ToDouble(), z.ToDouble()}});
+      point_row_.push_back(first_row + i);
+    }
   }
 
   size_t PointBytes() const override {
-    return points_.capacity() * sizeof(geom::PointN<3>) +
-           point_row_.capacity() * sizeof(size_t);
+    return points_.capacity() * sizeof(geom::PointN<3>);
   }
 
-  std::vector<size_t> LabelPoints(size_t num_rows,
-                                  size_t* num_groups) override {
+  std::vector<size_t> LabelPoints(size_t* num_groups) override {
     core::Grouping grouping;
     if (const auto* all = std::get_if<core::SgbAllOptions>(&mode_)) {
       core::SgbAllOptions opts = *all;
@@ -451,15 +575,9 @@ class SgbOperator3d final : public SgbOperatorBase {
       grouping = std::move(r).value();
     }
 
-    std::vector<size_t> group_of(num_rows, kNoGroup);
-    for (size_t k = 0; k < point_row_.size(); ++k) {
-      if (grouping.group_of[k] != core::Grouping::kEliminated) {
-        group_of[point_row_[k]] = grouping.group_of[k];
-      }
-    }
     *num_groups = grouping.num_groups;
     ResetPoints();
-    return group_of;
+    return std::move(grouping.group_of);
   }
 
  private:
@@ -468,7 +586,6 @@ class SgbOperator3d final : public SgbOperatorBase {
   ExprPtr z_expr_;
   SgbMode mode_;
   std::vector<geom::PointN<3>> points_;
-  std::vector<size_t> point_row_;
 };
 
 class SgbOperator1d final : public SgbOperatorBase {
@@ -482,25 +599,24 @@ class SgbOperator1d final : public SgbOperatorBase {
   std::string name() const override { return "SimilarityGroupBy1d"; }
 
  protected:
-  void ResetPoints() override {
-    std::vector<double>().swap(values_);
-    std::vector<size_t>().swap(value_row_);
-  }
+  void ResetPoints() override { std::vector<double>().swap(values_); }
 
-  void AddPoint(const Row& row, size_t index) override {
-    const Value v = value_expr_->Evaluate(row);
-    if (v.is_null() || !v.IsNumeric()) return;
-    values_.push_back(v.ToDouble());
-    value_row_.push_back(index);
+  void AddPoints(const RowBatch& batch, size_t first_row) override {
+    ColumnVector scratch;
+    const ColumnVector& vs = EvaluateColumn(*value_expr_, batch, &scratch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const CellRef v = vs.CellAt(i);
+      if (v.type != DataType::kInt64 && v.type != DataType::kDouble) continue;
+      values_.push_back(v.ToDouble());
+      point_row_.push_back(first_row + i);
+    }
   }
 
   size_t PointBytes() const override {
-    return values_.capacity() * sizeof(double) +
-           value_row_.capacity() * sizeof(size_t);
+    return values_.capacity() * sizeof(double);
   }
 
-  std::vector<size_t> LabelPoints(size_t num_rows,
-                                  size_t* num_groups) override {
+  std::vector<size_t> LabelPoints(size_t* num_groups) override {
     Result<core::Grouping1D> r = [&]() -> Result<core::Grouping1D> {
       if (const auto* u = std::get_if<Sgb1dUnsupervised>(&mode_)) {
         return core::SgbUnsupervised(values_, u->max_separation,
@@ -513,25 +629,18 @@ class SgbOperator1d final : public SgbOperatorBase {
       const auto& d = std::get<Sgb1dDelimited>(mode_);
       return core::SgbDelimited(values_, d.delimiters);
     }();
-    const core::Grouping1D grouping =
+    core::Grouping1D grouping =
         r.ok() ? std::move(r.value()) : core::Grouping1D{};
-
-    std::vector<size_t> group_of(num_rows, kNoGroup);
-    for (size_t k = 0; k < value_row_.size(); ++k) {
-      if (grouping.group_of[k] != core::Grouping1D::kUngrouped) {
-        group_of[value_row_[k]] = grouping.group_of[k];
-      }
-    }
+    if (!r.ok()) grouping.group_of.assign(values_.size(), kNoGroup);
     *num_groups = grouping.num_groups;
     ResetPoints();
-    return group_of;
+    return std::move(grouping.group_of);
   }
 
  private:
   ExprPtr value_expr_;
   Sgb1dMode mode_;
   std::vector<double> values_;
-  std::vector<size_t> value_row_;
 };
 
 }  // namespace

@@ -99,13 +99,18 @@ void EncodeRow(const Row& row, std::string* out) {
   }
 }
 
-Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
-  out->clear();
+namespace {
+
+/// Decodes one row's cells into `sink`, which takes Begin(column count)
+/// and then one Null/Int/Double/String call per cell in order.
+template <typename Sink>
+Status DecodeCells(const char* data, size_t size, size_t* offset,
+                   Sink&& sink) {
   uint64_t cols = 0;
   if (!ReadVarint(data, size, offset, &cols)) {
     return Status::IoError("spill codec: truncated row header");
   }
-  out->reserve(cols);
+  SGB_RETURN_IF_ERROR(sink.Begin(cols));
   for (uint64_t c = 0; c < cols; ++c) {
     if (*offset >= size) {
       return Status::IoError("spill codec: truncated value tag");
@@ -113,14 +118,14 @@ Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
     const uint8_t tag = static_cast<uint8_t>(data[(*offset)++]);
     switch (tag) {
       case kTagNull:
-        out->push_back(Value::Null());
+        sink.Null(c);
         break;
       case kTagInt64: {
         uint64_t bits;
         if (!ReadFixed64(data, size, offset, &bits)) {
           return Status::IoError("spill codec: truncated int64");
         }
-        out->push_back(Value::Int(static_cast<int64_t>(bits)));
+        sink.Int(c, static_cast<int64_t>(bits));
         break;
       }
       case kTagDouble: {
@@ -130,7 +135,7 @@ Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
         }
         double d;
         std::memcpy(&d, &bits, sizeof d);
-        out->push_back(Value::Double(d));
+        sink.Double(c, d);
         break;
       }
       case kTagString: {
@@ -138,7 +143,7 @@ Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
         if (!ReadVarint(data, size, offset, &len) || size - *offset < len) {
           return Status::IoError("spill codec: truncated string");
         }
-        out->push_back(Value::Str(std::string(data + *offset, len)));
+        sink.String(c, std::string(data + *offset, len));
         *offset += len;
         break;
       }
@@ -148,6 +153,52 @@ Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
     }
   }
   return Status::OK();
+}
+
+struct RowSink {
+  Row* row;
+  Status Begin(uint64_t cols) {
+    row->clear();
+    row->reserve(cols);
+    return Status::OK();
+  }
+  void Null(uint64_t) { row->push_back(Value::Null()); }
+  void Int(uint64_t, int64_t v) { row->push_back(Value::Int(v)); }
+  void Double(uint64_t, double v) { row->push_back(Value::Double(v)); }
+  void String(uint64_t, std::string v) {
+    row->push_back(Value::Str(std::move(v)));
+  }
+};
+
+struct BatchSink {
+  RowBatch* batch;
+  Status Begin(uint64_t cols) {
+    if (batch->num_rows() == 0) batch->SetNumColumns(cols);
+    if (cols != batch->num_columns()) {
+      return Status::IoError("spill codec: row of " + std::to_string(cols) +
+                             " columns in a batch of " +
+                             std::to_string(batch->num_columns()));
+    }
+    batch->SetNumRows(batch->num_rows() + 1);
+    return Status::OK();
+  }
+  void Null(uint64_t c) { batch->column(c).AppendNull(); }
+  void Int(uint64_t c, int64_t v) { batch->column(c).AppendInt(v); }
+  void Double(uint64_t c, double v) { batch->column(c).AppendDouble(v); }
+  void String(uint64_t c, std::string v) {
+    batch->column(c).AppendString(std::move(v));
+  }
+};
+
+}  // namespace
+
+Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out) {
+  return DecodeCells(data, size, offset, RowSink{out});
+}
+
+Status DecodeRow(const char* data, size_t size, size_t* offset,
+                 RowBatch* out) {
+  return DecodeCells(data, size, offset, BatchSink{out});
 }
 
 // ---- SpillFile ----------------------------------------------------------

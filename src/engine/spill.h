@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/row_batch.h"
 #include "engine/value.h"
 
 namespace sgb::engine {
@@ -44,6 +45,9 @@ void EncodeRow(const Row& row, std::string* out);
 /// Decodes one row starting at `*offset`, advancing it past the row.
 /// Corruption (truncated payload, unknown tag) returns IoError.
 Status DecodeRow(const char* data, size_t size, size_t* offset, Row* out);
+/// The same, appending the row's cells straight to `out`'s columns.
+Status DecodeRow(const char* data, size_t size, size_t* offset,
+                 RowBatch* out);
 
 // ---- SpillFile ----------------------------------------------------------
 

@@ -9,38 +9,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/row_batch.h"
 #include "engine/schema.h"
 #include "engine/value.h"
 
 namespace sgb::engine {
-
-/// Fixed-capacity container of rows for batch-at-a-time execution. A batch
-/// is filled by one NextBatch() call and consumed wholesale by the parent,
-/// amortizing the per-row virtual-call and timing overhead of the Volcano
-/// interface across kDefaultCapacity rows.
-class RowBatch {
- public:
-  static constexpr size_t kDefaultCapacity = 1024;
-
-  explicit RowBatch(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    rows_.reserve(capacity_);
-  }
-
-  size_t capacity() const { return capacity_; }
-  size_t size() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
-  bool Full() const { return rows_.size() >= capacity_; }
-  void Clear() { rows_.clear(); }
-  void Append(Row row) { rows_.push_back(std::move(row)); }
-
-  std::vector<Row>& rows() { return rows_; }
-  const std::vector<Row>& rows() const { return rows_; }
-
- private:
-  size_t capacity_;
-  std::vector<Row> rows_;
-};
 
 /// What backs a catalog entry: an immutable registered table, a CREATE
 /// TABLE append-only table, a disk-backed paged table, or a virtual
@@ -103,10 +76,21 @@ class IndexedCursor final : public TableCursor {
       : rows_(rows), row_at_(std::move(row_at)) {}
 
   size_t rows() const override { return rows_; }
+  /// Copies the cells of the next rows column by column.
   bool Next(RowBatch* out) override {
     const size_t end = std::min(rows_, next_ + out->capacity());
-    for (; next_ < end; ++next_) out->Append(row_at_(next_));
-    return !out->empty();
+    if (next_ >= end) return false;
+    rows_in_flight_.clear();
+    for (size_t i = next_; i < end; ++i) rows_in_flight_.push_back(&row_at_(i));
+    const size_t width = rows_in_flight_.front()->size();
+    out->SetNumColumns(width);
+    for (size_t c = 0; c < width; ++c) {
+      ColumnVector& column = out->column(c);
+      for (const Row* row : rows_in_flight_) column.Append((*row)[c]);
+    }
+    out->SetNumRows(end - next_);
+    next_ = end;
+    return true;
   }
   void Restart() override { next_ = 0; }
 
@@ -114,6 +98,7 @@ class IndexedCursor final : public TableCursor {
   size_t rows_;
   RowAt row_at_;
   size_t next_ = 0;
+  std::vector<const Row*> rows_in_flight_;
 };
 
 template <typename RowAt>

@@ -51,6 +51,8 @@ class Value {
   int64_t AsInt() const { return std::get<int64_t>(payload_); }
   double AsDouble() const { return std::get<double>(payload_); }
   const std::string& AsString() const { return std::get<std::string>(payload_); }
+  /// Moves the string payload out, leaving an empty string behind.
+  std::string TakeString() { return std::move(std::get<std::string>(payload_)); }
 
   /// Numeric coercion; 0.0 for NULL, parse-free 0.0 for strings.
   double ToDouble() const;

@@ -216,21 +216,26 @@ const ColumnStats* TableStats::FindColumn(const std::string& name) const {
 
 namespace {
 
+bool IsNumeric(const engine::CellRef& v) {
+  return v.type == engine::DataType::kInt64 ||
+         v.type == engine::DataType::kDouble;
+}
+
 /// Small, so ANALYZE's rows in flight stay far below any sensible budget.
 constexpr size_t kAnalyzeBatchRows = 64;
 
-/// One governed pass over the pin: `fn` sees every row in pinned order.
+/// One governed pass over the pin: `fn` sees every batch in pinned order.
+/// Cursor batches carry no selection, so row i is cell i of each column.
 template <typename Fn>
-void ForEachRow(engine::TableCursor& cursor, QueryContext* ctx, Fn&& fn) {
+void ForEachBatch(engine::TableCursor& cursor, QueryContext* ctx, Fn&& fn) {
   cursor.Restart();
   engine::RowBatch batch(kAnalyzeBatchRows);
   while (true) {
     ThrowIfAborted(ctx);
     batch.Clear();
     if (!cursor.Next(&batch)) return;
-    const ScopedMemoryCharge charge(ctx,
-                                    engine::ApproxRowVectorBytes(batch.rows()));
-    for (const engine::Row& row : batch.rows()) fn(row);
+    const ScopedMemoryCharge charge(ctx, batch.bytes());
+    fn(batch);
   }
 }
 
@@ -256,29 +261,34 @@ TableStats ComputeTableStats(const std::string& name,
   }
 
   uint64_t bytes = 0;
-  ForEachRow(cursor, ctx, [&](const engine::Row& row) {
-    bytes += sizeof(engine::Row) + row.size() * sizeof(engine::Value);
-    for (size_t i = 0; i < row.size() && i < schema.size(); ++i) {
-      const engine::Value& v = row[i];
+  ForEachBatch(cursor, ctx, [&](const engine::RowBatch& batch) {
+    const size_t rows = batch.num_rows();
+    bytes += rows * (sizeof(engine::Row) +
+                     batch.num_columns() * sizeof(engine::Value));
+    for (size_t i = 0; i < batch.num_columns() && i < schema.size(); ++i) {
+      const engine::ColumnVector& column = batch.column(i);
       ColumnStats& col = stats.columns[i];
-      if (v.is_null()) {
-        ++col.null_count;
-        continue;
-      }
-      sketches[i].Add(v.Hash());
-      if (v.type() == engine::DataType::kString) {
-        bytes += v.AsString().size();
-        continue;
-      }
-      const double d = v.ToDouble();
-      if (!std::isfinite(d)) continue;
-      if (!col.has_range) {
-        col.has_range = true;
-        col.min = d;
-        col.max = d;
-      } else {
-        col.min = std::min(col.min, d);
-        col.max = std::max(col.max, d);
+      for (size_t r = 0; r < rows; ++r) {
+        const engine::CellRef v = column.CellAt(r);
+        if (v.is_null()) {
+          ++col.null_count;
+          continue;
+        }
+        sketches[i].Add(v.Hash());
+        if (v.type == engine::DataType::kString) {
+          bytes += v.s->size();
+          continue;
+        }
+        const double d = v.ToDouble();
+        if (!std::isfinite(d)) continue;
+        if (!col.has_range) {
+          col.has_range = true;
+          col.min = d;
+          col.max = d;
+        } else {
+          col.min = std::min(col.min, d);
+          col.max = std::max(col.max, d);
+        }
       }
     }
   });
@@ -307,12 +317,16 @@ TableStats ComputeTableStats(const std::string& name,
     grid.SetBounds(stats.columns[gx].min, stats.columns[gx].max,
                    stats.columns[gy].min, stats.columns[gy].max);
     DistinctSketch points;
-    ForEachRow(cursor, ctx, [&](const engine::Row& row) {
-      const engine::Value& vx = row[static_cast<size_t>(gx)];
-      const engine::Value& vy = row[static_cast<size_t>(gy)];
-      if (!vx.IsNumeric() || !vy.IsNumeric()) return;
-      grid.Add(vx.ToDouble(), vy.ToDouble());
-      points.Add(MixHash(vx.Hash()) * 31 + vy.Hash());
+    ForEachBatch(cursor, ctx, [&](const engine::RowBatch& batch) {
+      const engine::ColumnVector& xs = batch.column(static_cast<size_t>(gx));
+      const engine::ColumnVector& ys = batch.column(static_cast<size_t>(gy));
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        const engine::CellRef vx = xs.CellAt(r);
+        const engine::CellRef vy = ys.CellAt(r);
+        if (!IsNumeric(vx) || !IsNumeric(vy)) continue;
+        grid.Add(vx.ToDouble(), vy.ToDouble());
+        points.Add(MixHash(vx.Hash()) * 31 + vy.Hash());
+      }
     });
     stats.point_ndv = points.Estimate();
     stats.grid = std::move(grid);

@@ -39,7 +39,7 @@ size_t PagedTable::bytes() const {
 namespace {
 
 /// A consistent snapshot — per-page record counts clamped to the published
-/// row total — decoded one page at a time into `pending_`.
+/// row total — decoded one page at a time into the columns of `pending_`.
 class PagedCursor final : public engine::TableCursor {
  public:
   PagedCursor(const PagedTable& table, size_t rows,
@@ -49,14 +49,17 @@ class PagedCursor final : public engine::TableCursor {
   size_t rows() const override { return rows_; }
   bool Next(engine::RowBatch* out) override {
     while (!out->Full()) {
-      if (pos_ >= pending_.size() && !LoadNextPage()) break;
-      out->Append(std::move(pending_[pos_++]));
+      if (pos_ >= pending_.num_rows() && !LoadNextPage()) break;
+      const size_t end = std::min(pending_.num_rows(),
+                                  pos_ + out->capacity() - out->size());
+      out->MoveRows(&pending_, pos_, end);
+      pos_ = end;
     }
     return !out->empty();
   }
   void Restart() override {
     page_ = 0;
-    pending_.clear();
+    pending_.Clear();
     pos_ = 0;
   }
 
@@ -65,7 +68,7 @@ class PagedCursor final : public engine::TableCursor {
   /// exhausted. I/O failures abort the query.
   bool LoadNextPage() {
     while (page_ < rows_per_page_.size()) {
-      pending_.clear();
+      pending_.Clear();
       pos_ = 0;
       const Status status =
           table_.ReadPageRows(page_, rows_per_page_[page_], &pending_);
@@ -80,7 +83,7 @@ class PagedCursor final : public engine::TableCursor {
   const size_t rows_;
   const std::vector<uint32_t> rows_per_page_;
   size_t page_ = 0;
-  std::vector<engine::Row> pending_;
+  engine::RowBatch pending_;
   size_t pos_ = 0;
 };
 
@@ -167,18 +170,15 @@ Status PagedTable::AppendEncoded(
 }
 
 Status PagedTable::ReadPageRows(uint64_t page_no, uint32_t count,
-                                std::vector<engine::Row>* out) const {
+                                engine::RowBatch* out) const {
   auto pinned = pool_->Pin(seg_, page_no);
   if (!pinned.ok()) return pinned.status();
   const SlottedPage page(pinned.value().data(), pool_->page_size());
-  out->reserve(out->size() + count);
   for (uint32_t slot = 0; slot < count; ++slot) {
     const std::string_view record = page.Record(slot);
-    engine::Row row;
     size_t offset = 0;
     SGB_RETURN_IF_ERROR(
-        engine::DecodeRow(record.data(), record.size(), &offset, &row));
-    out->push_back(std::move(row));
+        engine::DecodeRow(record.data(), record.size(), &offset, out));
   }
   return Status::OK();
 }

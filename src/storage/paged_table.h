@@ -78,10 +78,11 @@ class PagedTable final : public engine::TableSource {
   /// already committed the statement), so no rollback happens here.
   Status AppendEncoded(const std::vector<std::string_view>& records);
 
-  /// Decodes the first `count` records of `page_no` into `out` (appends).
-  /// Safe concurrently with a writer appending beyond `count`.
+  /// Decodes the first `count` records of `page_no` into the columns of
+  /// `out` (appends). Safe concurrently with a writer appending beyond
+  /// `count`.
   Status ReadPageRows(uint64_t page_no, uint32_t count,
-                      std::vector<engine::Row>* out) const;
+                      engine::RowBatch* out) const;
 
   /// Recovery seeds the page index after validating/trimming the segment.
   void RestoreMeta(std::vector<uint32_t> rows_per_page, size_t rows);

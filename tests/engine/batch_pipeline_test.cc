@@ -54,7 +54,9 @@ std::vector<Row> DrainBatches(Operator& op, size_t capacity) {
   while (op.NextBatch(&batch)) {
     EXPECT_FALSE(batch.empty());
     EXPECT_LE(batch.size(), capacity);
-    for (Row& row : batch.rows()) out.push_back(std::move(row));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      batch.TakeRow(i, &out.emplace_back());
+    }
   }
   return out;
 }
@@ -273,7 +275,9 @@ TEST(BatchPipelineTest, BlockingOperatorHonorsCapacityAndExhaustion) {
   while (op.NextBatch(&batch)) {
     ++batches;
     EXPECT_LE(batch.size(), 32u);
-    for (const Row& row : batch.rows()) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Row row;
+      batch.TakeRow(i, &row);
       EXPECT_GE(row[0].ToDouble(), prev);
       prev = row[0].ToDouble();
       ++rows;

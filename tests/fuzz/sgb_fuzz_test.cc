@@ -60,6 +60,10 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 size_t FuzzCases() { return EnvU64("SGB_FUZZ_CASES", 200); }
 uint64_t FuzzSeed() { return EnvU64("SGB_FUZZ_SEED", 20260806); }
 
+/// RowBatch capacities the batch sweeps drive every plan at: one row per
+/// batch, sizes that split column batches unevenly, and the default.
+constexpr size_t kBatchCapacities[] = {1, 3, 7, 64, 1024};
+
 /// Greedy delta-debugging: drop any point whose removal keeps the mismatch,
 /// repeating until a pass removes nothing. `mismatch` returns true when the
 /// divergence is still present on the candidate input.
@@ -301,14 +305,16 @@ TEST(SgbFuzzTest, BatchSizesProduceIdenticalResults) {
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     const std::string want = engine::WriteCsvToString(reference.value());
 
-    for (const size_t capacity : {size_t{1}, size_t{3}, size_t{64}}) {
+    for (const size_t capacity : kBatchCapacities) {
       auto plan = db.Prepare(sql);
       ASSERT_TRUE(plan.ok());
       Table got(plan.value()->schema());
       plan.value()->Open();
       RowBatch batch(capacity);
       while (plan.value()->NextBatch(&batch)) {
-        for (Row& row : batch.rows()) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          Row row;
+          batch.TakeRow(i, &row);
           ASSERT_TRUE(got.Append(std::move(row)).ok());
         }
       }
@@ -321,7 +327,7 @@ TEST(SgbFuzzTest, BatchSizesProduceIdenticalResults) {
 // The spill dimension of the differential harness: every case also runs
 // under a budget tight enough to force the SGB drain out of core, and the
 // spilled grouping must be bit-identical to the in-memory oracle — across
-// batch capacities 1/3/64, exactly like the in-memory sweep above.
+// batch capacities 1/3/7/64/1024, exactly like the in-memory sweep above.
 TEST(SgbFuzzTest, SpilledExecutionMatchesInMemoryOracle) {
   using engine::Column;
   using engine::Database;
@@ -385,7 +391,7 @@ TEST(SgbFuzzTest, SpilledExecutionMatchesInMemoryOracle) {
 
     // ...and the spill-enabled run must recover it bit-identically, at
     // every batch capacity.
-    for (const size_t capacity : {size_t{1}, size_t{3}, size_t{64}}) {
+    for (const size_t capacity : kBatchCapacities) {
       auto plan = db.Prepare(sql);
       ASSERT_TRUE(plan.ok());
       QueryContext ctx(budget);
@@ -399,7 +405,9 @@ TEST(SgbFuzzTest, SpilledExecutionMatchesInMemoryOracle) {
         plan.value()->Open();
         RowBatch batch(capacity);
         while (plan.value()->NextBatch(&batch)) {
-          for (Row& row : batch.rows()) {
+          for (size_t i = 0; i < batch.size(); ++i) {
+            Row row;
+            batch.TakeRow(i, &row);
             ASSERT_TRUE(got.Append(std::move(row)).ok());
           }
         }

@@ -90,6 +90,20 @@ TEST_F(ExplainTest, ParallelClauseShowsDop) {
   EXPECT_EQ(serial_plan.find("dop="), std::string::npos) << serial_plan;
 }
 
+TEST_F(ExplainTest, ThreeDimensionalSgbShowsTheDopItRuns) {
+  // The 3-D cores run serially whatever dop is asked for, so the label
+  // carries no dop annotation even under PARALLEL 4.
+  for (const char* kind : {"DISTANCE-TO-ANY L2 WITHIN 0.5",
+                           "DISTANCE-TO-ALL L2 WITHIN 0.5 ON-OVERLAP JOIN-ANY"}) {
+    const std::string plan = Explain(
+        std::string("SELECT count(*) FROM customer "
+                    "GROUP BY c_acctbal, c_custkey, c_nationkey ") +
+        kind + " PARALLEL 4");
+    EXPECT_NE(plan.find("3d (eps=0.5"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("dop="), std::string::npos) << plan;
+  }
+}
+
 TEST_F(ExplainTest, SessionDefaultDopAppliesWithoutParallelClause) {
   db_.set_default_sgb_dop(2);
   const std::string plan = Explain(

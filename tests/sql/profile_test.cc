@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "engine/executor.h"
@@ -133,6 +134,33 @@ TEST(ProfileTest, ParallelSgbWorkersNestUnderGroupSpan) {
     EXPECT_LE(r.end_us, group.end_us);
   }
   EXPECT_GE(workers, 2u) << "PARALLEL 4 over 5000 points must fan out";
+}
+
+TEST(ProfileTest, SgbOperatorPhasesAreSpans) {
+  // Drain, group and aggregate are one span each per SGB operator, all
+  // children of `execute` and in that order.
+  Database db = PointsDb(500);
+  const auto result = db.Query(
+      "PROFILE SELECT count(*), avg(x) FROM pts GROUP BY x, y "
+      "DISTANCE-TO-ANY L2 WITHIN 0.4");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto rows = RowsById(result.value());
+  int64_t execute_id = -1;
+  for (const auto& [id, r] : rows) {
+    if (r.op == "execute") execute_id = id;
+  }
+  ASSERT_NE(execute_id, -1);
+  std::vector<std::string> phases;
+  int64_t last_start = -1;
+  for (const auto& [id, r] : rows) {
+    if (r.op.rfind("sgb.", 0) != 0) continue;
+    phases.push_back(r.op);
+    EXPECT_EQ(r.parent_id, execute_id) << r.op;
+    EXPECT_GE(r.start_us, last_start) << r.op;
+    last_start = r.start_us;
+  }
+  EXPECT_EQ(phases, (std::vector<std::string>{"sgb.drain", "sgb.group",
+                                              "sgb.aggregate"}));
 }
 
 TEST(ProfileTest, ProfileResultMatchesPlainQuery) {

@@ -165,7 +165,9 @@ TEST(PagedTableTest, RowsComeBackInInsertionOrderAcrossPages) {
     RowBatch batch(7);  // batches straddle page boundaries
     size_t next = 0;
     while (cursor.Next(&batch)) {
-      for (const Row& row : batch.rows()) {
+      Row row;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        batch.TakeRow(i, &row);
         ASSERT_EQ(row[0].AsInt(), static_cast<int64_t>(next++));
       }
       batch.Clear();
