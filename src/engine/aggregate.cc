@@ -159,19 +159,19 @@ struct MinMaxAcc {
 };
 
 struct ArrayAggAcc {
-  std::string items;
+  std::string text;  ///< "{item,item..." once an item was added, else empty
   void Add(const CellRef* a) {
     if (a[0].is_null()) return;
-    if (!items.empty()) items += ',';
-    a[0].AppendText(&items);
+    text += text.empty() ? '{' : ',';
+    a[0].AppendText(&text);
   }
-  Value Finalize() const {
-    std::string text;
-    text.reserve(items.size() + 2);
-    text += '{';
-    text += items;
-    text += '}';
-    return Value::Str(std::move(text));
+  Value Finalize() const& { return Close(std::string(text)); }
+  /// The grouped path finalizes each group once and moves its text out.
+  Value Finalize() && { return Close(std::move(text)); }
+  static Value Close(std::string items) {
+    if (items.empty()) return Value::Str("{}");
+    items += '}';
+    return Value::Str(std::move(items));
   }
 };
 
@@ -305,8 +305,8 @@ class GroupedAggregateImpl final : public GroupedAggregate {
       accs_[g].Add(cells);
     }
   }
-  Value Finalize(size_t group) const override {
-    return accs_[group].Finalize();
+  Value Finalize(size_t group) override {
+    return std::move(accs_[group]).Finalize();
   }
 
  private:

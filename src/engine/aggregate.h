@@ -74,7 +74,8 @@ class GroupedAggregate {
   /// `group_of[i]`, for i in [0, n); kNoGroup rows are skipped.
   virtual void Update(const ColumnVector* const* args, const size_t* group_of,
                       size_t n) = 0;
-  virtual Value Finalize(size_t group) const = 0;
+  /// The group's result; moves it out, so call it once per group.
+  virtual Value Finalize(size_t group) = 0;
 };
 
 std::unique_ptr<GroupedAggregate> CreateGroupedAggregate(AggregateKind kind,

@@ -56,6 +56,14 @@ bool BufferedRows::Emit(RowBatch* out) {
   return !out->empty();
 }
 
+bool BufferedColumns::Emit(RowBatch* out) {
+  const size_t end = std::min(batch.num_rows(), next + out->capacity());
+  if (next >= end) return false;
+  out->MoveRows(&batch, next, end);
+  next = end;
+  return true;
+}
+
 void Operator::SetQueryContext(QueryContext* ctx) {
   // Settle any outstanding charge against the context it was made on;
   // otherwise a later Open() would release it against the new one.

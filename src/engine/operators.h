@@ -35,8 +35,10 @@ struct OperatorStats {
   double TotalMillis() const { return static_cast<double>(TotalNs()) / 1e6; }
 };
 
-/// The finished output of a blocking operator (aggregates, sort, spilled
-/// join, SGB): filled once in Open(), handed out batch by batch.
+/// The finished output of a blocking operator that still runs on rows
+/// (aggregates, sort, spilled join): filled once in Open(), handed out
+/// batch by batch. It folds into BufferedColumns when ROADMAP item 1(b)/(c)
+/// ports those operators to columns (docs/VECTORIZATION.md).
 struct BufferedRows {
   std::vector<Row> rows;
   size_t next = 0;  ///< first row not yet emitted
@@ -47,6 +49,22 @@ struct BufferedRows {
   /// Drops the rows and their allocation.
   void Release() {
     std::vector<Row>().swap(rows);
+    next = 0;
+  }
+};
+
+/// The finished output of a column operator (SGB), held as columns and
+/// handed out in capacity-sized slices.
+struct BufferedColumns {
+  RowBatch batch;
+  size_t next = 0;  ///< first row not yet emitted
+
+  /// Moves up to out->capacity() rows into `out`; false once drained.
+  bool Emit(RowBatch* out);
+
+  /// Drops the columns and their allocation.
+  void Release() {
+    batch = RowBatch();
     next = 0;
   }
 };

@@ -1,91 +1,8 @@
 #include "engine/row_batch.h"
 
-#include <charconv>
-#include <functional>
 #include <utility>
 
 namespace sgb::engine {
-
-// ---- CellRef ---------------------------------------------------------------
-
-CellRef CellRef::Of(const Value& v) {
-  CellRef cell;
-  cell.type = v.type();
-  switch (cell.type) {
-    case DataType::kInt64:
-      cell.i = v.AsInt();
-      break;
-    case DataType::kDouble:
-      cell.d = v.AsDouble();
-      break;
-    case DataType::kString:
-      cell.s = &v.AsString();
-      break;
-    case DataType::kNull:
-      break;
-  }
-  return cell;
-}
-
-int CellRef::Compare(const CellRef& a, const CellRef& b) {
-  auto rank = [](DataType t) {
-    return t == DataType::kNull ? 0 : (t == DataType::kString ? 2 : 1);
-  };
-  const int ra = rank(a.type);
-  const int rb = rank(b.type);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  if (ra == 0) return 0;
-  if (ra == 2) {
-    const int c = a.s->compare(*b.s);
-    return c < 0 ? -1 : (c > 0 ? 1 : 0);
-  }
-  if (a.type == DataType::kInt64 && b.type == DataType::kInt64) {
-    return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
-  }
-  const double x = a.ToDouble();
-  const double y = b.ToDouble();
-  return x < y ? -1 : (x > y ? 1 : 0);
-}
-
-double CellRef::ToDouble() const {
-  if (type == DataType::kInt64) return static_cast<double>(i);
-  return type == DataType::kDouble ? d : 0.0;
-}
-
-bool CellRef::ToBool() const {
-  if (type == DataType::kInt64) return i != 0;
-  return type == DataType::kDouble && d != 0.0;
-}
-
-Value CellRef::ToValue() const {
-  switch (type) {
-    case DataType::kInt64:
-      return Value::Int(i);
-    case DataType::kDouble:
-      return Value::Double(d);
-    case DataType::kString:
-      return Value::Str(*s);
-    case DataType::kNull:
-      break;
-  }
-  return Value::Null();
-}
-
-size_t CellRef::Hash() const {
-  if (type == DataType::kString) return std::hash<std::string>()(*s);
-  return ToValue().Hash();
-}
-
-void CellRef::AppendText(std::string* out) const {
-  if (type == DataType::kString) {
-    out->append(*s);
-  } else if (type == DataType::kInt64) {
-    char digits[24];  // std::to_string's digits, without a temporary
-    out->append(digits, std::to_chars(digits, digits + sizeof digits, i).ptr);
-  } else {
-    out->append(ToValue().ToString());
-  }
-}
 
 // ---- ColumnVector ----------------------------------------------------------
 

@@ -10,30 +10,6 @@
 
 namespace sgb::engine {
 
-/// A borrowed view of one cell, typed by the cell's own DataType. Readers of
-/// column batches (aggregates, ANALYZE, predicates) consume cells through it
-/// without building a Value; its coercion, text and hash are Value's.
-struct CellRef {
-  DataType type = DataType::kNull;
-  int64_t i = 0;
-  double d = 0.0;
-  const std::string* s = nullptr;  ///< kString only; borrowed
-
-  static CellRef Of(const Value& v);
-  /// Value::Compare: NULL first, numerics by value, then strings.
-  static int Compare(const CellRef& a, const CellRef& b);
-  bool is_null() const { return type == DataType::kNull; }
-  /// Value::ToDouble: int64 widened, 0.0 for NULL and strings.
-  double ToDouble() const;
-  /// Value::ToBool: non-zero numeric.
-  bool ToBool() const;
-  /// Value::Hash.
-  size_t Hash() const;
-  /// Appends Value::ToString() of the cell to `out`.
-  void AppendText(std::string* out) const;
-  Value ToValue() const;
-};
-
 /// One column of a RowBatch. Cells of one type live in one typed vector
 /// (int64, double or string); a column whose cells mix types falls back to
 /// one Value per cell. NULL cells are marked in a bitmap and hold a

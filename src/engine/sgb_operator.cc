@@ -108,25 +108,6 @@ void PublishSgbAnyStats(const core::SgbAnyStats& s, OperatorStats* out) {
   PublishWorkerBreakdown(s.parallel_partitions, s.workers, out);
 }
 
-/// The finished groups, held as columns and handed out in capacity-sized
-/// slices.
-struct BufferedColumns {
-  RowBatch batch;
-  size_t next = 0;  ///< first row not yet emitted
-
-  bool Emit(RowBatch* out) {
-    const size_t end = std::min(batch.num_rows(), next + out->capacity());
-    if (next >= end) return false;
-    out->MoveRows(&batch, next, end);
-    next = end;
-    return true;
-  }
-  void Release() {
-    batch = RowBatch();
-    next = 0;
-  }
-};
-
 /// Shared driver for the 1-D, 2-D and 3-D variants: drains the child batch
 /// by batch, appending the coordinate columns to the point array and
 /// buffering only the aggregate-argument columns; labels every input row

@@ -1,6 +1,6 @@
 #include "engine/value.h"
 
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <functional>
 
@@ -20,44 +20,24 @@ const char* ToString(DataType type) {
   return "?";
 }
 
-double Value::ToDouble() const {
-  switch (type()) {
-    case DataType::kInt64:
-      return static_cast<double>(AsInt());
-    case DataType::kDouble:
-      return AsDouble();
-    default:
-      return 0.0;
-  }
-}
+double Value::ToDouble() const { return CellRef::Of(*this).ToDouble(); }
 
-bool Value::ToBool() const {
-  switch (type()) {
-    case DataType::kInt64:
-      return AsInt() != 0;
-    case DataType::kDouble:
-      return AsDouble() != 0.0;
-    default:
-      return false;
-  }
-}
+bool Value::ToBool() const { return CellRef::Of(*this).ToBool(); }
 
 std::string Value::ToString() const {
-  switch (type()) {
-    case DataType::kNull:
-      return "NULL";
-    case DataType::kInt64:
-      return std::to_string(AsInt());
-    case DataType::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", AsDouble());
-      return buf;
-    }
-    case DataType::kString:
-      return AsString();
-  }
-  return "?";
+  if (type() == DataType::kString) return AsString();
+  std::string out;
+  CellRef::Of(*this).AppendText(&out);
+  return out;
 }
+
+int Value::Compare(const Value& a, const Value& b) {
+  return CellRef::Compare(CellRef::Of(a), CellRef::Of(b));
+}
+
+size_t Value::Hash() const { return CellRef::Of(*this).Hash(); }
+
+// ---- CellRef ---------------------------------------------------------------
 
 namespace {
 
@@ -77,44 +57,77 @@ int TypeRank(DataType type) {
 
 }  // namespace
 
-int Value::Compare(const Value& a, const Value& b) {
-  const int ra = TypeRank(a.type());
-  const int rb = TypeRank(b.type());
+int CellRef::Compare(const CellRef& a, const CellRef& b) {
+  const int ra = TypeRank(a.type);
+  const int rb = TypeRank(b.type);
   if (ra != rb) return ra < rb ? -1 : 1;
   switch (ra) {
     case 0:
       return 0;  // NULL == NULL for ordering purposes
     case 1: {
-      if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
-        const int64_t x = a.AsInt();
-        const int64_t y = b.AsInt();
-        return x < y ? -1 : (x > y ? 1 : 0);
+      if (a.type == DataType::kInt64 && b.type == DataType::kInt64) {
+        return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
       }
       const double x = a.ToDouble();
       const double y = b.ToDouble();
       return x < y ? -1 : (x > y ? 1 : 0);
     }
     default: {
-      const int c = a.AsString().compare(b.AsString());
+      const int c = a.s->compare(*b.s);
       return c < 0 ? -1 : (c > 0 ? 1 : 0);
     }
   }
 }
 
-size_t Value::Hash() const {
-  switch (type()) {
+size_t CellRef::Hash() const {
+  switch (type) {
     case DataType::kNull:
       return 0x9e3779b97f4a7c15ULL;
-    case DataType::kInt64: {
+    case DataType::kInt64:
       // Hash integral doubles and int64s alike so == implies equal hash.
-      return std::hash<double>()(static_cast<double>(AsInt()));
-    }
+      return std::hash<double>()(static_cast<double>(i));
     case DataType::kDouble:
-      return std::hash<double>()(AsDouble());
+      return std::hash<double>()(d);
     case DataType::kString:
-      return std::hash<std::string>()(AsString());
+      return std::hash<std::string>()(*s);
   }
   return 0;
+}
+
+void CellRef::AppendText(std::string* out) const {
+  switch (type) {
+    case DataType::kNull:
+      out->append("NULL");
+      return;
+    case DataType::kInt64: {
+      char digits[24];  // std::to_string's digits, without a temporary
+      out->append(digits, std::to_chars(digits, digits + sizeof digits, i).ptr);
+      return;
+    }
+    case DataType::kDouble: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.6g", d);
+      out->append(buf);
+      return;
+    }
+    case DataType::kString:
+      out->append(*s);
+      return;
+  }
+}
+
+Value CellRef::ToValue() const {
+  switch (type) {
+    case DataType::kInt64:
+      return Value::Int(i);
+    case DataType::kDouble:
+      return Value::Double(d);
+    case DataType::kString:
+      return Value::Str(*s);
+    case DataType::kNull:
+      break;
+  }
+  return Value::Null();
 }
 
 size_t RowHash::operator()(const Row& row) const {

@@ -54,6 +54,8 @@ class Value {
   /// Moves the string payload out, leaving an empty string behind.
   std::string TakeString() { return std::move(std::get<std::string>(payload_)); }
 
+  /// The semantics below are CellRef's (one definition for both).
+
   /// Numeric coercion; 0.0 for NULL, parse-free 0.0 for strings.
   double ToDouble() const;
 
@@ -81,6 +83,54 @@ class Value {
   explicit Value(Payload payload) : payload_(std::move(payload)) {}
 
   Payload payload_;
+};
+
+/// A borrowed view of one cell, typed by the cell's own DataType. Readers of
+/// column batches (aggregates, ANALYZE, predicates) consume cells through it
+/// without building a Value. It holds the one definition of the engine's
+/// cell semantics: Value's coercion, order, hash and text forward to it.
+struct CellRef {
+  DataType type = DataType::kNull;
+  int64_t i = 0;
+  double d = 0.0;
+  const std::string* s = nullptr;  ///< kString only; borrowed
+
+  static CellRef Of(const Value& v) {
+    CellRef cell;
+    cell.type = v.type();
+    switch (cell.type) {
+      case DataType::kInt64:
+        cell.i = v.AsInt();
+        break;
+      case DataType::kDouble:
+        cell.d = v.AsDouble();
+        break;
+      case DataType::kString:
+        cell.s = &v.AsString();
+        break;
+      case DataType::kNull:
+        break;
+    }
+    return cell;
+  }
+  /// NULL first, numerics by value (int64 pairs exactly), then strings.
+  static int Compare(const CellRef& a, const CellRef& b);
+  bool is_null() const { return type == DataType::kNull; }
+  /// int64 widened; 0.0 for NULL and strings.
+  double ToDouble() const {
+    if (type == DataType::kInt64) return static_cast<double>(i);
+    return type == DataType::kDouble ? d : 0.0;
+  }
+  /// Non-zero numeric.
+  bool ToBool() const {
+    if (type == DataType::kInt64) return i != 0;
+    return type == DataType::kDouble && d != 0.0;
+  }
+  /// Consistent with Compare()==0: int64 2 and double 2.0 collide.
+  size_t Hash() const;
+  /// Appends the cell's text ("NULL", integer digits, %.6g, raw string).
+  void AppendText(std::string* out) const;
+  Value ToValue() const;
 };
 
 using Row = std::vector<Value>;

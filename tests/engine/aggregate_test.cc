@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "engine/row_batch.h"
+
 namespace sgb::engine {
 namespace {
 
@@ -65,6 +67,28 @@ TEST(AggregateTest, EmptyGroupSemantics) {
   EXPECT_EQ(RunAggregate(Spec(AggregateKind::kArrayAgg), {}).AsString(),
             "{}");
   EXPECT_TRUE(RunAggregate(Spec(AggregateKind::kStPolygon), {}).is_null());
+}
+
+TEST(AggregateTest, GroupedArrayAggMovesEachGroupOut) {
+  // Group 0 sees only NULLs, group 1 ints, group 2 nothing; group 1 mixes
+  // a double in. Each group finalizes once, as the row state would.
+  ColumnVector ids;
+  for (const Value& v : {Value::Null(), Value::Int(7), Value::Int(-3),
+                         Value::Double(2.5), Value::Null(), Value::Int(9)}) {
+    ids.Append(v);
+  }
+  const size_t group_of[] = {0, 1, kNoGroup, 1, 0, 1};
+  auto grouped = CreateGroupedAggregate(AggregateKind::kArrayAgg, 3);
+  const ColumnVector* args[] = {&ids};
+  grouped->Update(args, group_of, 6);
+  EXPECT_EQ(grouped->Finalize(0).AsString(), "{}");
+  EXPECT_EQ(grouped->Finalize(1).AsString(), "{7,2.5,9}");
+  EXPECT_EQ(grouped->Finalize(2).AsString(), "{}");
+  EXPECT_EQ(RunAggregate(Spec(AggregateKind::kArrayAgg),
+                         {{Value::Int(7)}, {Value::Double(2.5)},
+                          {Value::Int(9)}})
+                .AsString(),
+            "{7,2.5,9}");
 }
 
 TEST(AggregateTest, MinMaxAvg) {

@@ -124,7 +124,9 @@ TEST(ColumnVectorTest, NullBitmapSpansWords) {
   EXPECT_EQ(column.layout(), ColumnVector::Layout::kInt64);
   for (int64_t i = 0; i < 200; ++i) {
     EXPECT_EQ(column.IsNull(static_cast<size_t>(i)), i % 67 == 0) << i;
-    if (i % 67 != 0) EXPECT_EQ(column.ints()[static_cast<size_t>(i)], i);
+    if (i % 67 != 0) {
+      EXPECT_EQ(column.ints()[static_cast<size_t>(i)], i);
+    }
   }
 }
 
